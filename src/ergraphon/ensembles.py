@@ -13,19 +13,21 @@ exposed throughout: raw subgraph counts and the density vector; conversions
 are exact rationals times counts, so nothing n-dependent can leak between
 them silently.
 
-Exact operations enumerate all 2^(n(n-1)/2) graphs (counting up to n = 8,
-exponential-weight sums up to n = 7; the split reflects that counting needs
-one cheap predicate pass while weighted sums keep per-graph exponentials
-alive). Enumeration tables are cached per n, log-sum-exp keeps psi_n finite
-at |n^2 theta . T| in the hundreds, and multiplier calibration is a damped
-Newton iteration whose Jacobian is the (positive-definite) scaled covariance
-of the densities.
+Exact operations work on the density of states N_n(e, t), the number of
+labelled graphs on n vertices with e edges and t triangles (228 nonzero
+cells at n = 8). Every exact quantity depends on a graph only through
+(e, t): Omega is one cell; psi_n is a log-count-weighted log-sum-exp over
+the cells, finite at |n^2 theta . T| in the hundreds; the canonical means
+and the scaled density covariance, which is the (positive-definite)
+Jacobian of the damped Newton multiplier calibration, are weighted moments
+over them. N_n is built once per n, lazily, by adding one vertex to the
+per-mask (edges, triangles) tables of the 2^((n-1)(n-2)/2) graphs on n - 1
+vertices. Counting runs to n = 8, weighted sums to n = 7.
 
-The relative entropy of the microcanonical with respect to the canonical
-ensemble is computed two ways: as the full sum over the constraint class and
-from a single representative (the canonical weight is constant on the
-class); both are returned by ``relative_entropy_exact`` and must agree to
-1e-12.
+The canonical weight is constant on a constraint class, so the relative
+entropy of the microcanonical with respect to the canonical ensemble is
+S_n = -log Omega - log w(e*, t*). The per-mask class sum that this identity
+collapses is recomputed independently in the tests.
 
 At larger n the canonical ensemble is sampled by single-edge-flip Metropolis
 with incremental triangle updates (flipping (i, j) changes the triangle
@@ -64,8 +66,8 @@ __all__ = [
     "WEIGHTED_CAPACITY",
 ]
 
-COUNT_CAPACITY = 8     # predicate pass over 2^28 masks
-WEIGHTED_CAPACITY = 7  # per-graph exponentials over 2^21 masks
+COUNT_CAPACITY = 8     # N_8 is built from the 2^21 per-mask tables at n = 7
+WEIGHTED_CAPACITY = 7
 
 
 @dataclass(frozen=True)
@@ -232,37 +234,57 @@ def _enum_tables(n: int) -> tuple:
     return edges, tris
 
 
+@lru_cache(maxsize=COUNT_CAPACITY)
+def _dos(n: int) -> tuple:
+    """Density of states N_n(e, t) as (edges, triangles, counts) over its nonzero cells.
+
+    1 <= n <= COUNT_CAPACITY. Vertex n - 1 is added to every graph G on
+    n - 1 vertices: a neighbourhood S of size k adds k edges and e(G[S])
+    triangles. Relabelling maps any k-set onto {0, ..., k - 1} and keeps
+    the joint law of (e(G), t(G), e(G[S])), so one representative S per
+    size, weighted by C(n - 1, k), stands for all 2^(n-1) neighbourhoods.
+    """
+    edges, tris = _enum_tables(n - 1)
+    masks = np.arange(edges.size, dtype=np.uint32)
+    bit = {p: b for b, p in enumerate(_pairs(n - 1))}
+    width = math.comb(n, 3) + 1
+    base = edges * width + tris
+    table = np.zeros((n * (n - 1) // 2 + 1, width), dtype=np.int64)
+    for k in range(n):
+        inside = np.uint32(sum(1 << bit[p] for p in combinations(range(k), 2)))
+        hist = np.bincount(base + _popcount_u32(masks & inside), minlength=table.size)
+        table[k:] += math.comb(n - 1, k) * hist.reshape(table.shape)[: table.shape[0] - k]
+    e, t = np.nonzero(table)
+    return e, t, table[e, t]
+
+
+def _class_size(n: int, e_star: int, t_star: int) -> int:
+    edges, tris, counts = _dos(n)
+    hit = counts[(edges == e_star) & (tris == t_star)]
+    return int(hit[0]) if hit.size else 0
+
+
+def _finite_pair(name: str, pair) -> tuple:
+    a, b = float(pair[0]), float(pair[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"{name} must be finite, got {tuple(pair)!r}")
+    return a, b
+
+
+def _count_pair(c_star) -> tuple:
+    e_star, t_star = _finite_pair("constraint counts", c_star)
+    return int(e_star), int(t_star)
+
+
 def count_constrained(n: int, c_star) -> int:
     """Number of graphs on n labelled vertices with the exact count pair.
 
-    n <= 8. For n = 8 the 2^28 masks are streamed in chunks: a popcount
-    pass filters on the edge count, and only survivors get the 56
-    triangle-mask tests.
+    n <= 8. A lookup in the cached density of states N_n(e, t); pairs
+    outside its cells (negative, too many edges, non-graphical) count 0.
     """
-    e_star, t_star = int(c_star[0]), int(c_star[1])
     if n < 1 or n > COUNT_CAPACITY:
         raise CapacityError(f"count_constrained handles 1 <= n <= {COUNT_CAPACITY}, got {n!r}")
-    if e_star < 0 or t_star < 0:
-        return 0
-    m = n * (n - 1) // 2
-    if e_star > m:
-        return 0
-    if n <= WEIGHTED_CAPACITY:
-        edges, tris = _enum_tables(n)
-        return int(np.count_nonzero((edges == e_star) & (tris == t_star)))
-    tmasks = [np.uint32(t) for t in _triangle_masks(n)]
-    total = 0
-    chunk = 1 << 22
-    for start in range(0, 1 << m, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << m), dtype=np.uint32)
-        masks = masks[_popcount_u32(masks) == e_star]
-        if masks.size == 0:
-            continue
-        tris = np.zeros(masks.size, dtype=np.int16)
-        for tm in tmasks:
-            tris += ((masks & tm) == tm).astype(np.int16)
-        total += int(np.count_nonzero(tris == t_star))
-    return total
+    return _class_size(n, *_count_pair(c_star))
 
 
 def _require_weighted(n: int) -> None:
@@ -273,7 +295,7 @@ def _require_weighted(n: int) -> None:
 
 
 def _log_weights(n: int, theta) -> tuple:
-    """(log canonical weights over all masks, psi_n)."""
+    """(log canonical weights over all masks, psi_n): the per-mask reference."""
     edges, tris = _enum_tables(n)
     th1, th2 = float(theta[0]), float(theta[1])
     # n^2 theta . T(G) = 2 th1 C1 + (6/n) th2 C3
@@ -284,30 +306,33 @@ def _log_weights(n: int, theta) -> tuple:
     return h - logz, psi
 
 
+def _canonical_cells(n: int, theta) -> tuple:
+    """(cell probabilities, cell t1, cell t3, log Z_n) over the cells of N_n."""
+    edges, tris, counts = _dos(n)
+    th1, th2 = float(theta[0]), float(theta[1])
+    h = 2.0 * th1 * edges + (6.0 / n) * th2 * tris + np.log(counts)
+    hmax = float(h.max())
+    w = np.exp(h - hmax)
+    total = float(w.sum())
+    return w / total, 2.0 * edges / n ** 2, 6.0 * tris / n ** 3, hmax + math.log(total)
+
+
 def partition_exact(n: int, theta) -> tuple:
-    """(psi_n, (mean edge density, mean triangle density)) by full enumeration."""
+    """(psi_n, (mean edge density, mean triangle density)), exact over N_n."""
     _require_weighted(n)
-    logw, psi = _log_weights(n, theta)
-    w = np.exp(logw)
-    edges, tris = _enum_tables(n)
-    t1 = 2.0 * edges / n ** 2
-    t3 = 6.0 * tris / n ** 3
-    return psi, (float(w @ t1), float(w @ t3))
+    p, t1, t3, logz = _canonical_cells(n, _finite_pair("theta", theta))
+    return logz / n ** 2, (float(p @ t1), float(p @ t3))
 
 
 def _means_and_jacobian(n: int, theta) -> tuple:
-    logw, psi = _log_weights(n, theta)
-    w = np.exp(logw)
-    edges, tris = _enum_tables(n)
-    t1 = 2.0 * edges / n ** 2
-    t3 = 6.0 * tris / n ** 3
-    m1, m3 = float(w @ t1), float(w @ t3)
+    p, t1, t3, _ = _canonical_cells(n, theta)
+    m1, m3 = float(p @ t1), float(p @ t3)
     d1, d3 = t1 - m1, t3 - m3
     cov = np.array([
-        [float(w @ (d1 * d1)), float(w @ (d1 * d3))],
-        [float(w @ (d1 * d3)), float(w @ (d3 * d3))],
+        [float(p @ (d1 * d1)), float(p @ (d1 * d3))],
+        [float(p @ (d1 * d3)), float(p @ (d3 * d3))],
     ])
-    return np.array([m1, m3]), n ** 2 * cov, psi
+    return np.array([m1, m3]), n ** 2 * cov
 
 
 def calibrate_exact(n: int, t_target, units: str = "density",
@@ -321,10 +346,11 @@ def calibrate_exact(n: int, t_target, units: str = "density",
     multipliers run away, which is detected and reported as divergence.
     """
     _require_weighted(n)
+    target = _finite_pair("target", t_target)
     if units == "count":
-        target = np.array(counts_to_densities(n, t_target[0], t_target[1]))
+        target = np.array(counts_to_densities(n, *target))
     elif units == "density":
-        target = np.array([float(t_target[0]), float(t_target[1])], dtype=float)
+        target = np.array(target)
     else:
         raise DomainError(f"units must be 'density' or 'count', got {units!r}")
 
@@ -339,7 +365,7 @@ def calibrate_exact(n: int, t_target, units: str = "density",
 
     p0 = min(max(target[0] * n / (n - 1) if n > 1 else target[0], 1e-3), 1.0 - 1e-3)
     theta = np.array([0.5 * math.log(p0 / (1.0 - p0)), 0.0])
-    means, jac, _ = _means_and_jacobian(n, theta)
+    means, jac = _means_and_jacobian(n, theta)
     resid = means - target
     for it in range(max_iter):
         if float(np.max(np.abs(resid))) < tol:
@@ -352,7 +378,7 @@ def calibrate_exact(n: int, t_target, units: str = "density",
         scale = 1.0
         for _ in range(60):
             cand = theta - scale * step
-            means2, jac2, _ = _means_and_jacobian(n, cand)
+            means2, jac2 = _means_and_jacobian(n, cand)
             resid2 = means2 - target
             if np.linalg.norm(resid2) < np.linalg.norm(resid):
                 break
@@ -385,31 +411,21 @@ def relative_entropy_exact(n: int, c_star) -> EnsembleSolution:
     """Relative entropy of the microcanonical w.r.t. the calibrated canonical.
 
     The hard constraint is an exact count pair (edges, triangles). The
-    relative entropy is computed both as the literal sum over the constraint
-    class and from a single representative; the two must agree to 1e-12
-    because the canonical weight is constant on the class.
+    canonical weight is constant on the constraint class, so the class sum
+    of p_mic log(p_mic / w) reduces to S_n = -log Omega - log w(e*, t*).
     """
     _require_weighted(n)
-    e_star, t_star = int(c_star[0]), int(c_star[1])
-    edges, tris = _enum_tables(n)
-    sel = (edges == e_star) & (tris == t_star)
-    omega = int(np.count_nonzero(sel))
+    e_star, t_star = _count_pair(c_star)
+    omega = _class_size(n, e_star, t_star)
     if omega == 0:
         raise DomainError(f"constraint ({e_star}, {t_star}) is not graphical for n={n}")
     target = counts_to_densities(n, e_star, t_star)
     theta = calibrate_exact(n, target, units="density")
-    logw, psi = _log_weights(n, theta)
-    # full sum over the class
-    p_mic = 1.0 / omega
-    s_sum = float(np.sum(p_mic * (math.log(p_mic) - logw[sel])))
-    # single-representative identity
-    s_single = -math.log(omega) - float(logw[np.argmax(sel)])
-    if abs(s_sum - s_single) > 1e-12 * max(1.0, abs(s_single)):
-        raise ConvergenceError("class-sum and single-graph relative entropies disagree",
-                               {"sum": s_sum, "single": s_single})
-    means = partition_exact(n, theta)[1]
+    psi, means = partition_exact(n, theta)
+    # log w = n^2 theta . T(G) - log Z_n = 2 th1 C1 + (6/n) th2 C3 - n^2 psi_n
+    log_w = 2.0 * theta.theta1 * e_star + (6.0 / n) * theta.theta2 * t_star - n ** 2 * psi
     return EnsembleSolution(theta=theta, psi_n=psi, mean_t=means,
-                            s_n=s_single, omega=omega)
+                            s_n=-math.log(omega) - log_w, omega=omega)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +492,7 @@ def mcmc_sample(n: int, theta, steps: int, seed: int,
     steps = int(steps)
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps!r}")
-    th1, th2 = float(theta[0]), float(theta[1])
+    th1, th2 = _finite_pair("theta", theta)
     if burnin is None:
         burnin = 10 * n * n
     rng = random.Random(seed)
@@ -580,7 +596,7 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
     reported with diagnostics; metastability near the broken-equivalence
     region shows up here and is reported rather than silently retried.
     """
-    target1, target3 = float(t_target[0]), float(t_target[1])
+    target1, target3 = _finite_pair("target", t_target)
     if block is None:
         block = max(10 * n * n, int(1.0 / (2.0 * tol * tol)))
     rng = random.Random(seed)

@@ -233,7 +233,8 @@ def curve_sweep(t1_list, eps_grid, side: str) -> list:
     if any(s not in ("below", "above") for s in sides):
         raise DomainError(f"side must be 'below', 'above', or 'both', got {side!r}")
     eps_grid = sorted(float(e) for e in eps_grid)
-    if not eps_grid or not list(t1_list):
+    t1_list = list(t1_list)
+    if not eps_grid or not t1_list:
         raise DomainError("t1 list and eps grid must be non-empty")
     rows = []
     for s in sides:

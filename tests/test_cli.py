@@ -205,6 +205,14 @@ class TestMcmcCommand:
         assert code == 0
         assert ",10000," in out.splitlines()[1]
 
+    def test_nan_theta_exit_2(self, capsys):
+        code, out, _ = run_capture(
+            capsys, "mcmc", "--n", "7", "--theta1", "nan", "--theta2", "0",
+            "--steps", "100", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

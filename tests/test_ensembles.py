@@ -28,7 +28,7 @@ from ergraphon import (
     subgraph_counts,
     triangle_density,
 )
-from ergraphon.ensembles import _enum_tables, _log_weights
+from ergraphon.ensembles import _dos, _enum_tables, _log_weights
 
 
 def brute_counts(g: DenseGraph):
@@ -46,6 +46,17 @@ def brute_counts(g: DenseGraph):
         if a[i, j] and a[j, k] and a[i, k]
     )
     return int(edges), int(wedges), int(triangles)
+
+
+def per_mask_class_sum(n, c_star, theta):
+    """(Omega, S_n) as the literal sum of p_mic log(p_mic / w) over the
+    class's masks, with canonical weights from the per-mask enumeration."""
+    edges_tab, tris_tab = _enum_tables(n)
+    logw, _ = _log_weights(n, theta)
+    sel = (edges_tab == c_star[0]) & (tris_tab == c_star[1])
+    omega = int(np.count_nonzero(sel))
+    p_mic = 1.0 / omega
+    return omega, float(np.sum(p_mic * (math.log(p_mic) - logw[sel])))
 
 
 def random_graph(rng, n, p=0.5):
@@ -130,6 +141,25 @@ class TestHomDensity:
     def test_unit_conversions_roundtrip(self):
         t1, t3 = counts_to_densities(7, 11, 6)
         assert densities_to_counts(7, t1, t3) == pytest.approx((11.0, 6.0), abs=1e-12)
+
+
+class TestDensityOfStates:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_per_mask_histogram(self, n):
+        # independent route: bincount the full per-mask table on n vertices
+        edges_tab, tris_tab = _enum_tables(n)
+        width = math.comb(n, 3) + 1
+        hist = np.bincount(edges_tab * width + tris_tab)
+        cells = np.flatnonzero(hist)
+        edges, tris, counts = _dos(n)
+        assert edges.tolist() == (cells // width).tolist()
+        assert tris.tolist() == (cells % width).tolist()
+        assert counts.tolist() == hist[cells].tolist()
+
+    def test_n8_totals(self):
+        edges, tris, counts = _dos(8)
+        assert counts.size == 228
+        assert int(counts.sum()) == 1 << 28
 
 
 class TestCountConstrained:
@@ -251,8 +281,7 @@ class TestCalibrateExact:
 
 class TestRelativeEntropyExact:
     def test_identities_random_constraints(self):
-        # class-sum vs single-representative agreement is asserted inside
-        # relative_entropy_exact; sample across n = 4..7
+        # sample across n = 4..7; S_n against the per-mask class sum
         rng = random.Random(5)
         done = 0
         attempts = 0
@@ -268,7 +297,9 @@ class TestRelativeEntropyExact:
             except ConvergenceError:
                 continue
             assert sol.s_n >= 0.0
-            assert sol.omega >= 1
+            omega, s_sum = per_mask_class_sum(n, (c.edges, c.triangles), sol.theta)
+            assert sol.omega == omega
+            assert sol.s_n == pytest.approx(s_sum, abs=1e-12 * max(1.0, abs(s_sum)))
             target = counts_to_densities(n, c.edges, c.triangles)
             assert sol.mean_t[0] == pytest.approx(target[0], abs=1e-9)
             assert sol.mean_t[1] == pytest.approx(target[1], abs=1e-9)
@@ -276,16 +307,13 @@ class TestRelativeEntropyExact:
         assert done == 12
 
     def test_single_graph_identity_explicit(self):
-        n = 5
-        sol = relative_entropy_exact(n, (5, 1))
-        edges_tab, tris_tab = _enum_tables(n)
-        logw, _ = _log_weights(n, sol.theta)
-        sel = (edges_tab == 5) & (tris_tab == 1)
-        omega = int(np.count_nonzero(sel))
-        assert omega == sol.omega
-        p_mic = 1.0 / omega
-        s_sum = float(np.sum(p_mic * (math.log(p_mic) - logw[sel])))
-        assert s_sum == pytest.approx(sol.s_n, abs=1e-12)
+        # the per-mask class sum of p_mic log(p_mic / w), against the
+        # library's single-representative S_n, one interior class per n
+        for n, c_star in {4: (3, 1), 5: (5, 1), 6: (7, 2), 7: (10, 4)}.items():
+            sol = relative_entropy_exact(n, c_star)
+            omega, s_sum = per_mask_class_sum(n, c_star, sol.theta)
+            assert omega == sol.omega
+            assert s_sum == pytest.approx(sol.s_n, abs=1e-12)
 
     def test_microcanonical_conditioning_uniform(self):
         # canonical weights are constant on the constraint class
@@ -417,6 +445,34 @@ class TestMcmc:
             mcmc_sample(2, (0.0, 0.0), 100, seed=1)
         with pytest.raises(DomainError):
             mcmc_sample(5, (0.0, 0.0), 0, seed=1)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_partition(self, bad):
+        with pytest.raises(DomainError):
+            partition_exact(5, (bad, 0.0))
+
+    @pytest.mark.parametrize("units", ["density", "count"])
+    def test_calibrate_target(self, units):
+        with pytest.raises(DomainError):
+            calibrate_exact(5, (math.nan, 0.1), units=units)
+
+    @pytest.mark.parametrize("theta", [(math.nan, 0.0), (0.0, -math.inf)])
+    def test_mcmc_theta(self, theta):
+        with pytest.raises(DomainError):
+            mcmc_sample(7, theta, 100, seed=1)
+
+    def test_mcmc_calibrate_target(self):
+        with pytest.raises(DomainError):
+            mcmc_calibrate(7, (0.4, math.nan), seed=1)
+
+    @pytest.mark.parametrize("c_star", [(math.nan, 1), (10, math.inf)])
+    def test_count_pair(self, c_star):
+        with pytest.raises(DomainError):
+            count_constrained(7, c_star)
+        with pytest.raises(DomainError):
+            relative_entropy_exact(7, c_star)
 
 
 class TestMcmcCalibrate:

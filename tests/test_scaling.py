@@ -195,6 +195,13 @@ class TestCurveSweep:
         for r in rows:
             assert set(r) == {"t1", "eps", "side", "pred", "numeric", "rel_err", "exponent"}
 
+    def test_generator_t1_list(self):
+        # a one-shot iterable is read once, not consumed by the emptiness check
+        eps = [1e-5, 1e-4]
+        rows = curve_sweep((t for t in (0.6, 0.7)), eps, "both")
+        for t1 in (0.6, 0.7):
+            assert sum(r["t1"] == t1 for r in rows) == 2 * len(eps)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             curve_sweep([], [1e-4], "below")
