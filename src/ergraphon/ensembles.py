@@ -32,7 +32,13 @@ collapses is recomputed independently in the tests.
 At larger n the canonical ensemble is sampled by single-edge-flip Metropolis
 with incremental triangle updates (flipping (i, j) changes the triangle
 count by |N(i) & N(j)| via one bitset AND), and multipliers are calibrated
-stochastically by Robbins-Monro.
+stochastically by Robbins-Monro. Both run on one flip kernel that advances
+a chain through consecutive blocks of proposals and returns per-block
+integer sums of the counts. The acceptance probability depends on a
+proposal only through (edge present, common-neighbour count), so it is
+read from two tables of n - 1 entries built once per call. A seed fixes
+the random stream: the pair draw is ``randrange`` inlined, and a uniform
+is drawn only for flips with dH < 0.
 """
 
 import math
@@ -273,6 +279,8 @@ def _finite_pair(name: str, pair) -> tuple:
 
 def _count_pair(c_star) -> tuple:
     e_star, t_star = _finite_pair("constraint counts", c_star)
+    if not (e_star.is_integer() and t_star.is_integer()):
+        raise DomainError(f"constraint counts must be whole numbers, got {tuple(c_star)!r}")
     return int(e_star), int(t_star)
 
 
@@ -468,6 +476,74 @@ class McmcSummary:
         }
 
 
+@lru_cache(maxsize=8)
+def _flip_pairs(n: int) -> tuple:
+    """(first vertices, second vertices) of the pairs of K_n, and 1 << v per vertex."""
+    pi, pj = zip(*_pairs(n))
+    return pi, pj, tuple(1 << v for v in range(n))
+
+
+def _accept_table(n: int, th1: float, th2: float, d1: int) -> list:
+    """exp(dH) for a flip with edge change d1 and c common neighbours, by c.
+
+    None marks dH >= 0: the flip is accepted without drawing a uniform.
+    """
+    tri_coef = 6.0 / n
+    dhs = (2.0 * th1 * d1 + tri_coef * th2 * (d1 * common) for common in range(n - 1))
+    return [None if dh >= 0.0 else math.exp(dh) for dh in dhs]
+
+
+def _flip_blocks(n, rows, c1, c3, th1, th2, lens, rng) -> tuple:
+    """Advance the edge-flip chain in place through blocks of ``lens[b]`` proposals.
+
+    Each proposal picks a uniform pair (i, j) (``rng.randrange`` inlined)
+    and flips it with probability min(1, e^dH), dH = 2 th1 dC1 + (6/n) th2
+    dC3, where dC3 = +-|N(i) & N(j)|; e^dH is looked up by the common
+    neighbour count. ``rows`` is mutated. Returns (c1, c3, sums, accepted):
+    the final counts, one (sum of C1, sum of C3) pair of Python ints per
+    block over the states after each of its proposals, and the number of
+    accepted flips.
+    """
+    pi, pj, bit = _flip_pairs(n)
+    npairs = len(pi)
+    k = npairs.bit_length()
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    add = _accept_table(n, th1, th2, 1)
+    remove = _accept_table(n, th1, th2, -1)
+    accepted = 0
+    sums = []
+    for length in lens:
+        s1 = s3 = 0
+        for _ in range(length):
+            r = getrandbits(k)
+            while r >= npairs:
+                r = getrandbits(k)
+            i = pi[r]
+            j = pj[r]
+            ri = rows[i]
+            rj = rows[j]
+            common = (ri & rj).bit_count()
+            if (ri >> j) & 1:
+                p = remove[common]
+                d1 = -1
+                d3 = -common
+            else:
+                p = add[common]
+                d1 = 1
+                d3 = common
+            if p is None or uniform() < p:
+                rows[i] = ri ^ bit[j]
+                rows[j] = rj ^ bit[i]
+                c1 += d1
+                c3 += d3
+                accepted += 1
+            s1 += c1
+            s3 += c3
+        sums.append((s1, s3))
+    return c1, c3, sums, accepted
+
+
 def _batch_stats(batch_means: np.ndarray) -> tuple:
     mean = float(batch_means.mean())
     if batch_means.size < 2:
@@ -476,25 +552,35 @@ def _batch_stats(batch_means: np.ndarray) -> tuple:
     return mean, se
 
 
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; integral floats such as 1e6 are accepted."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    if not x.is_integer() or x < least:
+        raise DomainError(f"need a whole number {name} >= {least}, got {value!r}")
+    return int(x)
+
+
 def mcmc_sample(n: int, theta, steps: int, seed: int,
                 burnin: int | None = None, batches: int = 32,
                 start: DenseGraph | None = None) -> McmcSummary:
     """Single-edge-flip Metropolis chain targeting the canonical ensemble.
 
-    Proposes a uniform pair per step and accepts with min(1, e^dH) where
-    dH = 2 th1 dC1 + (6/n) th2 dC3; the triangle increment is the popcount
-    of one row intersection. Runs ``burnin`` proposals (default 10 n^2) and
-    then ``steps`` recorded proposals split into ``batches`` for standard
-    errors. Fully deterministic for a fixed seed.
+    One call of the flip kernel runs ``burnin`` proposals (default 10 n^2)
+    and then ``steps`` recorded proposals as consecutive blocks, one per
+    batch; the batch means give the standard errors. Each proposal is a
+    uniform pair, accepted with min(1, e^dH) where dH = 2 th1 dC1 +
+    (6/n) th2 dC3; the triangle increment is the popcount of one row
+    intersection, and e^dH is read from a table indexed by it. Fully
+    deterministic for a fixed seed.
     """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n!r}")
-    steps = int(steps)
-    if steps < 1:
-        raise DomainError(f"need steps >= 1, got {steps!r}")
+    n = _whole("n", n, 3)
+    steps = _whole("steps", steps, 1)
+    burnin = 10 * n * n if burnin is None else _whole("burnin", burnin, 0)
+    batches = _whole("batches", batches, 1)
     th1, th2 = _finite_pair("theta", theta)
-    if burnin is None:
-        burnin = 10 * n * n
     rng = random.Random(seed)
     if start is None:
         rows = [0] * n
@@ -506,41 +592,17 @@ def mcmc_sample(n: int, theta, steps: int, seed: int,
         counts = subgraph_counts(start)
         c1, c3 = counts.edges, counts.triangles
 
-    pairs = _pairs(n)
-    npairs = len(pairs)
-    tri_coef = 6.0 / n
-    accepted = 0
-
+    # batch b holds recorded steps s with floor(s nb / steps) == b
     nb = max(1, min(batches, steps))
-    batch_id = (np.arange(steps, dtype=np.int64) * nb) // steps
-    sums1 = np.zeros(nb)
-    sums3 = np.zeros(nb)
-    lens = np.bincount(batch_id, minlength=nb).astype(float)
+    ends = [-(-b * steps // nb) for b in range(nb + 1)]
+    lens = [hi - lo for lo, hi in zip(ends, ends[1:])]
+    _, _, sums, accepted = _flip_blocks(n, rows, c1, c3, th1, th2, [burnin] + lens, rng)
 
-    total = burnin + steps
-    for step in range(total):
-        i, j = pairs[rng.randrange(npairs)]
-        present = (rows[i] >> j) & 1
-        common = (rows[i] & rows[j]).bit_count()
-        d1 = -1 if present else 1
-        d3 = -common if present else common
-        dh = 2.0 * th1 * d1 + tri_coef * th2 * d3
-        if dh >= 0.0 or rng.random() < math.exp(dh):
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
-            c1 += d1
-            c3 += d3
-            accepted += 1
-        if step >= burnin:
-            b = batch_id[step - burnin]
-            sums1[b] += c1
-            sums3[b] += c3
-
-    m1 = sums1 / lens
-    m3 = sums3 / lens
+    m1 = np.array([s1 / length for (s1, _), length in zip(sums[1:], lens)])
+    m3 = np.array([s3 / length for (_, s3), length in zip(sums[1:], lens)])
     t1_batches = 2.0 * m1 / n ** 2
     t3_batches = 6.0 * m3 / n ** 3
-    frac_batches = m1 / npairs
+    frac_batches = m1 / (n * (n - 1) // 2)
     mean_t1, se_t1 = _batch_stats(t1_batches)
     mean_t3, se_t3 = _batch_stats(t3_batches)
     mean_fr, se_fr = _batch_stats(frac_batches)
@@ -548,38 +610,8 @@ def mcmc_sample(n: int, theta, steps: int, seed: int,
         n=n, theta=MultiplierPair(th1, th2), steps=steps, burnin=burnin,
         seed=seed, mean_t1=mean_t1, se_t1=se_t1, mean_t3=mean_t3, se_t3=se_t3,
         mean_edge_fraction=mean_fr, se_edge_fraction=se_fr,
-        accept_rate=accepted / total,
+        accept_rate=accepted / (burnin + steps),
     )
-
-
-def _run_block(n, rows, c1, c3, th1, th2, steps, rng, record=True):
-    """Advance the chain in place for ``steps`` proposals.
-
-    Returns (c1, c3, mean_C1, mean_C3) where the means are over the block's
-    recorded states (NaN when record is False).
-    """
-    pairs = _pairs(n)
-    npairs = len(pairs)
-    tri_coef = 6.0 / n
-    s1 = s3 = 0
-    for _ in range(steps):
-        i, j = pairs[rng.randrange(npairs)]
-        present = (rows[i] >> j) & 1
-        common = (rows[i] & rows[j]).bit_count()
-        d1 = -1 if present else 1
-        d3 = -common if present else common
-        dh = 2.0 * th1 * d1 + tri_coef * th2 * d3
-        if dh >= 0.0 or rng.random() < math.exp(dh):
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
-            c1 += d1
-            c3 += d3
-        if record:
-            s1 += c1
-            s3 += c3
-    if not record:
-        return c1, c3, float("nan"), float("nan")
-    return c1, c3, s1 / steps, s3 / steps
 
 
 def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
@@ -587,38 +619,45 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
                    a0: float = 2.0, k0: int = 8) -> MultiplierPair:
     """Robbins-Monro calibration of the multipliers against density targets.
 
-    One persistent chain is advanced block by block; after each block the
-    update theta_{k+1} = theta_k - a_k (block mean - target) is applied with
-    a_k = a0 / (k + k0). Convergence requires the block means within ``tol``
-    per component of the target, re-confirmed on an 8x longer block (a block
-    mean's noise floor is about 1/sqrt(2 * block), independent of n, so the
-    default block is sized for the tolerance). Persistent failure is
-    reported with diagnostics; metastability near the broken-equivalence
-    region shows up here and is reported rather than silently retried.
+    One persistent chain is advanced block by block, one flip-kernel call
+    per block; after each block the update theta_{k+1} = theta_k - a_k
+    (block mean - target) is applied with a_k = a0 / (k + k0). Convergence
+    requires the block means within ``tol`` per component of the target,
+    re-confirmed on an 8x longer block (a block mean's noise floor is about
+    1/sqrt(2 * block), independent of n, so the default block is sized for
+    the tolerance). Persistent failure is reported with diagnostics;
+    metastability near the broken-equivalence region shows up here and is
+    reported rather than silently retried.
     """
+    n = _whole("n", n, 3)
     target1, target3 = _finite_pair("target", t_target)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"need a finite tol > 0, got {tol!r}")
+    if not k0 > 0:
+        raise DomainError(f"need k0 > 0, got {k0!r}")
     if block is None:
         block = max(10 * n * n, int(1.0 / (2.0 * tol * tol)))
+    block = _whole("block", block, 1)
     rng = random.Random(seed)
     p0 = min(max(target1, 1e-3), 1.0 - 1e-3)
     th1 = 0.5 * math.log(p0 / (1.0 - p0))
     th2 = 0.0
     rows = [0] * n
-    c1 = c3 = 0
-    c1, c3, _, _ = _run_block(n, rows, c1, c3, th1, th2, 10 * n * n, rng, record=False)
+    c1, c3, _, _ = _flip_blocks(n, rows, 0, 0, th1, th2, [10 * n * n], rng)
+
+    def residual(length):
+        # advance one block at the current multipliers; (mean t1, mean t3) - target
+        nonlocal c1, c3
+        c1, c3, [(s1, s3)], _ = _flip_blocks(n, rows, c1, c3, th1, th2, [length], rng)
+        return 2.0 * (s1 / length) / n ** 2 - target1, 6.0 * (s3 / length) / n ** 3 - target3
+
     resid = (float("inf"), float("inf"))
     for k in range(max_rounds):
-        c1, c3, m1, m3 = _run_block(n, rows, c1, c3, th1, th2, block, rng)
-        r1 = 2.0 * m1 / n ** 2 - target1
-        r3 = 6.0 * m3 / n ** 3 - target3
-        resid = (r1, r3)
+        r1, r3 = resid = residual(block)
         if abs(r1) < tol and abs(r3) < tol and k >= 5:
             # confirm on a longer block before declaring convergence: a
             # single block's mean is noisy at the tolerance scale
-            c1, c3, m1, m3 = _run_block(n, rows, c1, c3, th1, th2, 8 * block, rng)
-            r1 = 2.0 * m1 / n ** 2 - target1
-            r3 = 6.0 * m3 / n ** 3 - target3
-            resid = (r1, r3)
+            r1, r3 = resid = residual(8 * block)
             if abs(r1) < tol and abs(r3) < tol:
                 return MultiplierPair(th1, th2)
         a_k = a0 / (k + k0)

@@ -213,6 +213,24 @@ class TestMcmcCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("steps", ["abc", "inf"])
+    def test_bad_steps_exit_2(self, capsys, steps):
+        code, out, err = run_capture(
+            capsys, "mcmc", "--n", "7", "--theta1", "0", "--theta2", "0",
+            "--steps", steps, "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_negative_burnin_exit_2(self, capsys):
+        code, out, _ = run_capture(
+            capsys, "mcmc", "--n", "7", "--theta1", "0", "--theta2", "0",
+            "--steps", "100", "--seed", "1", "--burnin", "-5",
+        )
+        assert code == 2
+        assert out == ""
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -28,7 +28,7 @@ from ergraphon import (
     subgraph_counts,
     triangle_density,
 )
-from ergraphon.ensembles import _dos, _enum_tables, _log_weights
+from ergraphon.ensembles import _dos, _enum_tables, _flip_blocks, _log_weights
 
 
 def brute_counts(g: DenseGraph):
@@ -396,35 +396,28 @@ class TestMcmc:
         assert abs(summ.mean_edge_fraction - 0.5) < 5 * summ.se_edge_fraction
 
     def test_detailed_balance_tiny_state_space(self):
-        # n = 3: empirical law over the 8 graphs matches the exact canonical
-        # distribution within (inflated) multinomial error at 1e7 steps
+        # n = 3: the library kernel's state, read from the mutated rows after
+        # every block of 4 proposals (1e7 proposals, 2.5e6 samples), has the
+        # exact canonical law over the 8 graphs within (inflated) multinomial
+        # error
         n, th = 3, (0.3, 0.2)
-        steps = 10**7
+        block, samples = 4, 10**7 // 4
         rng = random.Random(11)
         rows = [0] * n
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        visits = np.zeros(8)
-        c_state = 0
-        bit = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
-        for _ in range(steps):
-            i, j = pairs[rng.randrange(3)]
-            present = (rows[i] >> j) & 1
-            common = (rows[i] & rows[j]).bit_count()
-            d1 = -1 if present else 1
-            d3 = -common if present else common
-            dh = 2 * th[0] * d1 + (6 / n) * th[1] * d3
-            if dh >= 0 or rng.random() < math.exp(dh):
-                rows[i] ^= 1 << j
-                rows[j] ^= 1 << i
-                c_state ^= 1 << bit[(i, j)]
-            visits[c_state] += 1
-        freq = visits / steps
-        edges_tab, tris_tab = _enum_tables(3)
+        c1 = c3 = 0
+        visits = [0] * 8
+        for _ in range(samples):
+            c1, c3, _, _ = _flip_blocks(n, rows, c1, c3, th[0], th[1], (block,), rng)
+            # mask bits in the pair order (0, 1), (0, 2), (1, 2) of _enum_tables
+            visits[(rows[0] >> 1 & 1) | (rows[0] >> 2 & 1) << 1 | (rows[1] >> 2 & 1) << 2] += 1
+        counts = subgraph_counts(DenseGraph(n, tuple(rows)))
+        assert (c1, c3) == (counts.edges, counts.triangles)
+        freq = np.array(visits) / samples
         logw, _ = _log_weights(3, th)
         exact = np.exp(logw)
         # tau-inflated multinomial bands (short chain memory at n = 3)
         for k in range(8):
-            band = 6 * math.sqrt(exact[k] * (1 - exact[k]) * 10 / steps)
+            band = 6 * math.sqrt(exact[k] * (1 - exact[k]) * 10 / samples)
             assert abs(freq[k] - exact[k]) < band
 
     def test_mcmc_against_exact_means(self):
@@ -473,6 +466,58 @@ class TestNonFiniteInputs:
             count_constrained(7, c_star)
         with pytest.raises(DomainError):
             relative_entropy_exact(7, c_star)
+
+
+class TestSamplerInputs:
+    def test_negative_burnin(self):
+        with pytest.raises(DomainError):
+            mcmc_sample(7, (0.0, 0.0), 100, seed=1, burnin=-5)
+
+    @pytest.mark.parametrize("steps", [2.5, math.inf, "abc"])
+    def test_steps_not_a_whole_number(self, steps):
+        with pytest.raises(DomainError):
+            mcmc_sample(7, (0.0, 0.0), steps, seed=1)
+
+    @pytest.mark.parametrize("batches", [0, 2.5])
+    def test_batches(self, batches):
+        with pytest.raises(DomainError):
+            mcmc_sample(7, (0.0, 0.0), 100, seed=1, batches=batches)
+
+    def test_integral_float_steps_and_burnin(self):
+        assert mcmc_sample(7, (0.1, 0.0), 1e3, seed=1, burnin=50.0) == \
+            mcmc_sample(7, (0.1, 0.0), 1000, seed=1, burnin=50)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_calibrate_too_few_vertices(self, n):
+        with pytest.raises(DomainError):
+            mcmc_calibrate(n, (0.4, 0.05), seed=1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_calibrate_tol(self, tol):
+        with pytest.raises(DomainError):
+            mcmc_calibrate(7, (0.4, 0.05), seed=1, tol=tol)
+
+    def test_calibrate_block(self):
+        with pytest.raises(DomainError):
+            mcmc_calibrate(7, (0.4, 0.05), seed=1, block=0)
+
+    def test_calibrate_k0(self):
+        with pytest.raises(DomainError):
+            mcmc_calibrate(7, (0.4, 0.05), seed=1, k0=0)
+
+
+class TestCountPairIntegral:
+    def test_relative_entropy_rejects_fraction(self):
+        with pytest.raises(DomainError):
+            relative_entropy_exact(5, (5.9, 1.5))
+
+    def test_count_rejects_fraction(self):
+        with pytest.raises(DomainError):
+            count_constrained(5, (5.7, 1))
+
+    def test_integral_floats_accepted(self):
+        assert count_constrained(5, (5.0, 1.0)) == count_constrained(5, (5, 1)) == 150
+        assert relative_entropy_exact(5, (5.0, 1.0)) == relative_entropy_exact(5, (5, 1))
 
 
 class TestMcmcCalibrate:
