@@ -177,11 +177,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_mcmc(args) -> int:
-    try:
-        steps = float(args.steps)
-    except ValueError:
-        raise DomainError(f"--steps must be a number, got {args.steps!r}") from None
-    summary = mcmc_sample(args.n, (args.theta1, args.theta2), steps,
+    summary = mcmc_sample(args.n, (args.theta1, args.theta2), args.steps,
                           seed=args.seed, burnin=args.burnin)
     _emit([summary.to_row()], summary.ROW_FIELDS, args, tolerances="")
     return EXIT_OK

@@ -14,7 +14,6 @@ from itertools import combinations
 import pytest
 
 from ergraphon import (
-    ConvergenceError,
     DenseGraph,
     McmcSummary,
     MultiplierPair,
@@ -86,17 +85,6 @@ def test_mcmc_sample_golden(case):
 ])
 def test_mcmc_calibrate_golden(target, seed, expected):
     assert mcmc_calibrate(30, target, seed=seed) == expected
-
-
-def test_mcmc_calibrate_failure_diagnostics_golden():
-    with pytest.raises(ConvergenceError) as exc_info:
-        mcmc_calibrate(10, (0.99, 0.0), seed=23, max_rounds=12)
-    assert exc_info.value.diagnostics == {
-        "theta": (2.6100425302133603, -1.0669005387587283),
-        "residual": (-0.23837999999999993, 0.40682640000000003),
-        "tol": 0.005,
-        "rounds": 12,
-    }
 
 
 def test_cli_readme_example_golden():
