@@ -128,16 +128,22 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        t1_list = [float(x) for x in cfg.get("t1", [])]
-        eps_grid = [float(x) for x in cfg.get("eps", [])]
-        side = cfg.get("side", args.side)
-    else:
-        t1_list = _float_list(args.t1)
-        eps_grid = _float_list(args.eps)
-        side = args.side
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise DomainError(f"{args.config} must hold a JSON object")
+            t1_list = [float(x) for x in cfg.get("t1", [])]
+            eps_grid = [float(x) for x in cfg.get("eps", [])]
+            side = cfg.get("side", args.side)
+        else:
+            t1_list = _float_list(args.t1)
+            eps_grid = _float_list(args.eps)
+            side = args.side
+    except (TypeError, ValueError) as exc:
+        # malformed JSON, or a t1/eps entry that is not a number
+        raise DomainError(f"bad curve input: {exc}") from None
     _check_eps_grid(eps_grid)
     if side in ("above", "both") and any(t == 0.5 for t in t1_list):
         raise DomainError("the above-line rate is undefined at t1 = 1/2")

@@ -27,6 +27,7 @@ blocks and rejects the epsilon if any value leaves [0, 1] or a measure leaves
 (0, 1).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,21 +235,12 @@ def scallop_graphon(ell: int, t1: float) -> StepGraphon:
 # ---------------------------------------------------------------------------
 
 
-def _corner_value(t1: float, bisect_tol: float = 1e-12) -> float:
-    """Root h of I'(h) = 3 I'(1 - t1), by bisection on (0, 1).
+def _corner_value(t1: float) -> float:
+    """Root h of I'(h) = 3 I'(1 - t1).
 
-    I' is a strictly increasing bijection onto the reals, so the root is
-    unique and bisection cannot fail.
+    I'(h) = (1/2) logit(h), so the root is the logistic of 6 I'(1 - t1).
     """
-    target = 3.0 * bernoulli_entropy_deriv(1.0 - t1, 1)
-    lo, hi = 0.0, 1.0
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if bernoulli_entropy_deriv(mid, 1) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / (1.0 + math.exp(-6.0 * bernoulli_entropy_deriv(1.0 - t1, 1)))
 
 
 def _require_unit(values: dict, eps: float) -> None:

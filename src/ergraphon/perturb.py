@@ -24,9 +24,17 @@ cube (K2 + K3 = -t1^3 eps) admits the closed one-parameter family
 which satisfies K1 = K2 = 0 and K3 = -t1^3 eps *identically* (not just
 asymptotically). ``solve_microcanonical`` minimizes the exact entropy
 functional either within this reduced family (1-D search over lam) or over
-the full two-step class with both constraints enforced exactly (the cubic
-constraint is eliminated by polynomial root-solving in g22, the remaining
-2-D landscape is explored by multistart direct search).
+the full two-step class with both constraints enforced exactly. There K1 = 0
+fixes g12 = -(lam g11/mu + mu g22/lam)/2 with mu = 1-lam, which makes
+K2 + K3 - delta the explicit cubic c3 g22^3 + c2 g22^2 + c1 g22 + c0,
+
+    c3 = mu^3 (1 + (3/4) mu/lam),
+    c2 = (3/4) mu^3 (t1/lam + g11) + (3/2) lam mu^2 g11,
+    c1 = (3/2) lam mu g11 (lam g11 - t1) + (3/4) lam^3 g11^2,
+    c0 = lam^3 g11^2 ((3/4) t1/mu + g11 + (3/4) lam g11/mu) - delta;
+
+its real roots are the feasible g22, and the remaining 2-D landscape in
+(lam, g11) is explored by multistart direct search.
 
 ``exclusion_scan`` probes the ansatz families for which K2 cannot vanish and
 fits how fast K2 decays with eps: whenever K2 > 0 along those families it
@@ -38,11 +46,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import bernoulli_entropy, bernoulli_entropy_deriv, block_entropy_rate
 from .errors import ConvergenceError, DomainError, EpsilonTooLargeError, InfeasibleError
-from .graphon import StepGraphon, entropy_functional
+from .graphon import StepGraphon, _corner_value, entropy_functional
 from .optimize import golden_section_min, loglog_slope
 
 __all__ = [
@@ -210,29 +217,25 @@ def case_entropy(t1: float, eps: float, case: str, param: float) -> float:
         shrinking lam; its correction beyond the universal eps^(2/3) term is
         of order eps^(1-rate), so Case III never undercuts the winning case.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"need eps > 0, got {eps!r}")
     i0 = bernoulli_entropy(t1)
-    i2 = bernoulli_entropy_deriv(t1, 2)
-    universal = 0.5 * i2 * t1 * t1 * eps ** (2.0 / 3.0)
-    if case == "I":
-        lam = param
-        if not 0.0 < lam < 1.0:
-            raise DomainError(f"case I needs lam in (0, 1), got {lam!r}")
-        i3 = bernoulli_entropy_deriv(t1, 3)
-        shape = (1.0 - 2.0 * lam) ** 2 / (lam * (1.0 - lam))
-        return i0 + universal - i3 * t1 ** 3 * shape * eps / 6.0
     if case == "II":
         return i0 + block_entropy_rate(t1, param) * eps ** (2.0 / 3.0)
-    if case == "III":
-        rate = param
-        if not 0.0 < rate < 1.0 / 3.0:
-            raise DomainError(f"case III needs a rate in (0, 1/3), got {rate!r}")
-        lam = eps ** rate
-        i3 = bernoulli_entropy_deriv(t1, 3)
-        shape = (1.0 - 2.0 * lam) ** 2 / (lam * (1.0 - lam))
-        return i0 + universal - i3 * t1 ** 3 * shape * eps / 6.0
-    raise DomainError(f"unknown case label {case!r}")
+    if case == "I":
+        lam = param
+    elif case == "III":
+        if not 0.0 < param < 1.0 / 3.0:
+            raise DomainError(f"case III needs a rate in (0, 1/3), got {param!r}")
+        lam = eps ** param
+    else:
+        raise DomainError(f"unknown case label {case!r}")
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"case {case} needs lam in (0, 1), got {lam!r}")
+    i2 = bernoulli_entropy_deriv(t1, 2)
+    i3 = bernoulli_entropy_deriv(t1, 3)
+    shape = (1.0 - 2.0 * lam) ** 2 / (lam * (1.0 - lam))
+    return i0 + 0.5 * i2 * t1 * t1 * eps ** (2.0 / 3.0) - i3 * t1 ** 3 * shape * eps / 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +286,17 @@ def _case_label_for(lam: float) -> str:
 
 
 def _g22_roots(t1: float, lam: float, g11: float, delta: float):
-    """All g22 with K1 eliminated and K2 + K3 = delta.
+    """All real g22 with K1 eliminated and K2 + K3 = delta.
 
-    With g12 linear in g22, K2 + K3 - delta is an exact cubic polynomial in
-    g22; its coefficients are recovered by interpolation on four nodes and
-    the real roots are polished by Newton steps on the exact residual.
+    The roots of the explicit cubic in the module docstring; a root counts
+    as real when its imaginary part is at most 1e-9.
     """
-
-    def phi(g22):
-        g12 = g12_eliminating_k1(lam, g11, g22)
-        r = constraint_residuals(t1, PerturbationAnsatz(lam, g11, g12, g22))
-        return r.k2 + r.k3 - delta
-
-    nodes = np.array([-0.75, -0.25, 0.25, 0.75])
-    coeffs = np.polyfit(nodes, [phi(x) for x in nodes], 3)
-    out = []
-    for root in np.roots(coeffs):
-        if abs(root.imag) > 1e-9:
-            continue
-        x = float(root.real)
-        for _ in range(6):
-            h = 1e-7 * max(1.0, abs(x))
-            d = (phi(x + h) - phi(x - h)) / (2.0 * h)
-            if d == 0.0:
-                break
-            step = phi(x) / d
-            x -= step
-            if abs(step) < 1e-16:
-                break
-        out.append(x)
-    return out
+    mu = 1.0 - lam
+    c3 = mu ** 3 * (1.0 + 0.75 * mu / lam)
+    c2 = 0.75 * mu ** 3 * (t1 / lam + g11) + 1.5 * lam * mu * mu * g11
+    c1 = 1.5 * lam * mu * g11 * (lam * g11 - t1) + 0.75 * lam ** 3 * g11 * g11
+    c0 = lam ** 3 * g11 * g11 * (0.75 * t1 / mu + g11 + 0.75 * lam * g11 / mu) - delta
+    return [float(r.real) for r in np.roots([c3, c2, c1, c0]) if abs(r.imag) <= 1e-9]
 
 
 def _best_feasible(t1, lam, g11, delta):
@@ -333,6 +317,9 @@ def _best_feasible(t1, lam, g11, delta):
 
 
 def _solve_exact(t1: float, delta: float, seeds):
+    # imported here, its only use, so that importing ergraphon skips scipy
+    from scipy.optimize import minimize
+
     evaluations = 0
 
     def obj(x):
@@ -374,6 +361,10 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
+    if not math.isfinite(t2_target):
+        raise DomainError(f"need a finite t2 target, got {t2_target!r}")
+    if not 0.0 <= er_tol < math.inf:
+        raise DomainError(f"need a finite er_tol >= 0, got {er_tol!r}")
     if not 0.0 <= t2_target <= 1.0 or t2_target > t1 ** 1.5 + 1e-12:
         raise InfeasibleError(
             f"target ({t1!r}, {t2_target!r}) is outside the admissible region"
@@ -414,7 +405,7 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
         elif t1 != 0.5:
             # vanishing-block structure of the above-line optimizer
             lam_above = min(max(delta / (1.0 - 2.0 * t1) ** 2 / (3.0 * t1), 1e-5), 0.45)
-            seeds.append((lam_above, _corner_seed(t1)))
+            seeds.append((lam_above, _corner_value(t1) - t1))
         ansatz, ent, iters = _solve_exact(t1, delta, seeds)
         ansatz = ansatz.canonical()
         label = _case_label_for(ansatz.lam)
@@ -430,12 +421,6 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
         t1=t1, t2_target=t2_target, ansatz=ansatz, entropy=ent,
         residuals=resid, case_label=label, iterations=iters, mode=mode,
     )
-
-
-def _corner_seed(t1: float) -> float:
-    # above-line corner value solves I'(h) = 3 I'(1 - t1)
-    h11 = 1.0 / (1.0 + math.exp(-6.0 * bernoulli_entropy_deriv(1.0 - t1, 1)))
-    return h11 - t1
 
 
 # ---------------------------------------------------------------------------

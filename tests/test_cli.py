@@ -121,6 +121,14 @@ class TestCurveCommand:
         assert code == 0
         assert out.read_text().count("\n") == 3
 
+    def test_malformed_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"t1": [0.6], ')
+        code, out, err = run_capture(capsys, "curve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
 
 class TestSolveCommand:
     def test_reduced_solve_text(self, capsys):
@@ -140,6 +148,24 @@ class TestSolveCommand:
     def test_infeasible_exit_4(self, capsys):
         code, _, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", "0.9")
         assert code == 4
+
+    @pytest.mark.parametrize("t2", ["nan", "inf"])
+    def test_nonfinite_target_exit_2(self, capsys, t2):
+        code, out, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", t2)
+        assert code == 2
+        assert out == ""
+
+    def test_nan_er_tol_exit_2(self, capsys):
+        code, out, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", "0.02",
+                                   "--er-tol", "nan")
+        assert code == 2
+        assert out == ""
+
+    def test_negative_er_tol_exit_2(self, capsys):
+        code, out, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", "0.02",
+                                   "--er-tol=-1e-9")
+        assert code == 2
+        assert out == ""
 
     def test_csv_and_json_rows(self, capsys):
         t2 = f"{0.3**3 * (1 - 1e-3):.17g}"
@@ -240,3 +266,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "-0.34657359027997264" in proc.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported lazily by the exact_constraints solver alone
+        code = ("import sys, ergraphon; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

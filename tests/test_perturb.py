@@ -3,6 +3,7 @@ exactness, the case expansions, and both solver modes."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from ergraphon import (
     triangle_density,
 )
 from ergraphon.optimize import loglog_slope
+from ergraphon.perturb import _g22_roots
 
 
 def brute_k_integrals(a: PerturbationAnsatz):
@@ -216,6 +218,16 @@ class TestCaseEntropy:
         c_star = t1 / abs(bregman_quotient_min(t1).x)
         assert case_entropy(t1, eps, "III", 0.2) > case_entropy(t1, eps, "II", c_star)
 
+    def test_case3_is_case1_at_shrinking_lam(self):
+        t1, eps, rate = 0.3, 1e-6, 0.2
+        assert case_entropy(t1, eps, "III", rate) == case_entropy(t1, eps, "I", eps**rate)
+
+    def test_case3_domain(self):
+        with pytest.raises(DomainError):
+            case_entropy(0.3, 1.0, "III", 0.2)  # lam = eps^rate = 1
+        with pytest.raises(DomainError):
+            case_entropy(0.3, 1e-4, "III", 0.5)  # rate outside (0, 1/3)
+
     def test_case2_domain(self):
         with pytest.raises(DomainError):
             case_entropy(0.3, 1e-4, "II", 0.5)  # inner argument below zero
@@ -309,6 +321,114 @@ class TestSolveExact:
     def test_er_point(self):
         rep = solve_microcanonical(0.4, 0.064, mode="exact_constraints")
         assert rep.entropy == pytest.approx(bernoulli_entropy(0.4), abs=1e-15)
+
+
+# exact_constraints answers at eps = 1e-4, recorded from the solver that
+# fitted the g22 cubic on four nodes: (t1, side, lam, g11, g12, g22, entropy).
+# Above the line t2 = t1^3 + 3 t1 eps, below it t2 = t1^3 (1 - eps).
+EXACT_RECORDED = [
+    (0.2, "above", 0.0002779622531509096, 0.7999962509713173, 0.5998285865038169,
+     -0.0003336139702160341, -0.2499699695217382),
+    (0.2, "below", 0.49999964484472864, -0.009283190937992347, 0.009283177667227254,
+     -0.009283164396481133, -0.2500665202832821),
+    (0.3, "above", 0.000627501310919043, 0.6917478349054521, 0.398937450087648,
+     -0.0005012546359489079, -0.30522021467008315),
+    (0.3, "below", 0.4999998604071516, -0.013924774720149434, 0.013924766500840543,
+     -0.01392475828153649, -0.30520125610142673),
+    (0.6, "above", 0.0024661693518796364, -0.3215902737382944, -0.2007873559059141,
+     0.0009947652511015448, -0.33630309310037165),
+    (0.6, "below", 0.110488019695141, -0.2242810190138753, 0.027818845446167986,
+     -0.003450522037589692, -0.3357135368445636),
+    (0.7, "above", 0.0006227097004527904, -0.5286667754280432, -0.40048172937603144,
+     0.0004992837517691555, -0.30522031286385987),
+    (0.7, "below", 0.07037647175886752, -0.42957954179746644, 0.03232050325905911,
+     -0.002431621219980533, -0.3042910636767462),
+]
+
+
+class TestExactConstraintsRecorded:
+    @pytest.mark.parametrize("t1, side, lam, g11, g12, g22, entropy", EXACT_RECORDED)
+    def test_matches_recorded(self, t1, side, lam, g11, g12, g22, entropy):
+        eps = 1e-4
+        t2 = t1**3 + 3 * t1 * eps if side == "above" else t1**3 * (1 - eps)
+        rep = solve_microcanonical(t1, t2, mode="exact_constraints")
+        assert abs(rep.entropy - entropy) <= 1e-14
+        # the entropy landscape is flat in lam, so the minimizer's location
+        # is pinned far more loosely than its value
+        a = rep.ansatz
+        for got, want in zip((a.lam, a.g11, a.g12, a.g22), (lam, g11, g12, g22)):
+            assert abs(got - want) <= 1e-5
+
+
+def mp_g22_cubic(t1, lam, g11, delta):
+    """(coefficients, roots, phi) of phi(g22) = K2 + K3 - delta at 60 digits.
+
+    phi eliminates K1 through g12 and sums the constraint functionals as
+    defined; its cubic coefficients come from exact interpolation on four
+    nodes, independently of the closed-form coefficients in the solver.
+    """
+    t1, lam, g11, delta = map(mpmath.mpf, (t1, lam, g11, delta))
+    mu = 1 - lam
+
+    def phi(g22):
+        g22 = mpmath.mpf(g22)
+        g12 = -(lam * g11 / mu + mu * g22 / lam) / 2
+        r1 = lam * g11 + mu * g12
+        r2 = lam * g12 + mu * g22
+        k2 = 3 * t1 * (lam * r1**2 + mu * r2**2)
+        k3 = (lam**3 * g11**3 + mu**3 * g22**3
+              + 3 * lam * mu * g12**2 * (lam * g11 + mu * g22))
+        return k2 + k3 - delta
+
+    nodes = (-1, 0, 1, 2)
+    vander = mpmath.matrix([[mpmath.mpf(x) ** k for k in (3, 2, 1, 0)] for x in nodes])
+    c = mpmath.lu_solve(vander, mpmath.matrix([phi(x) for x in nodes]))
+    coeffs = [c[i] for i in range(4)]
+    return coeffs, mpmath.polyroots(coeffs, maxsteps=200, extraprec=200), phi
+
+
+class TestG22Roots:
+    def check(self, t1, lam, g11, delta):
+        """Real-root count and residuals of _g22_roots against mpmath."""
+        roots = _g22_roots(t1, lam, g11, delta)
+        with mpmath.workdps(60):
+            coeffs, exact, phi = mp_g22_cubic(t1, lam, g11, delta)
+            # the solver counts a root as real when |imag| <= 1e-9
+            assert len(roots) == sum(1 for r in exact if abs(mpmath.im(r)) <= 1e-9)
+            for x in roots:
+                resid = abs(phi(x))
+                scale = sum(abs(c) * abs(mpmath.mpf(x)) ** k
+                            for c, k in zip(coeffs, (3, 2, 1, 0)))
+                assert resid <= 1e-11 * scale
+                g12 = g12_eliminating_k1(lam, g11, x)
+                if all(0.0 <= t1 + v <= 1.0 for v in (g11, g12, x)):
+                    # far inside the solver's 1e-10 residual gate
+                    assert resid <= 1e-15
+        return roots, exact
+
+    def test_near_double_complex_pair_is_not_real(self):
+        # a conjugate pair with imaginary part 7.3e-9 next to g22 = 0; fitting
+        # the cubic on four nodes reported it as two real roots at +-2.7e-7
+        t1, lam = 0.5435094469010598, 9.21480240734928e-06
+        g11, delta = -0.4727693187314891, -2.3896059579322465e-12
+        roots, exact = self.check(t1, lam, g11, delta)
+        with mpmath.workdps(60):
+            imag = sorted(float(abs(mpmath.im(r))) for r in exact)
+        assert imag[0] < 1e-40
+        assert imag[1] == pytest.approx(7.3e-9, rel=0.01)
+        assert len(roots) == 1
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(150):
+            t1 = rng.uniform(0.05, 0.95)
+            lam = 10 ** rng.uniform(-6, math.log10(0.5))
+            if rng.random() < 0.5:
+                lam = 1 - lam
+            g11 = rng.uniform(-t1, 1 - t1)
+            eps = 10 ** rng.uniform(-10, -2)
+            delta = -t1**3 * eps if rng.random() < 0.5 else 3 * t1 * eps
+            self.check(t1, lam, g11, delta)
 
 
 class TestExclusionScan:

@@ -3,6 +3,7 @@ supremum, and the curve sweep."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,6 +124,35 @@ class TestConstantGraphonSup:
         assert abs(u - us[np.argmax(vals)]) < 1e-4
         resid = th.theta1 + 3 * th.theta2 * u**2 - bernoulli_entropy_deriv(u, 1)
         assert abs(resid) < 1e-10
+
+
+def mp_constant_sup(th1, th2):
+    """(u*, value) at 50 digits from the stationarity root in x = logit(u).
+
+    For the multipliers used below theta1 + 3 theta2 sigma(x)^2 - x/2 has a
+    single sign change on (-40, 40), and it is the maximum.
+    """
+    with mpmath.workdps(50):
+        th1, th2 = mpmath.mpf(th1), mpmath.mpf(th2)
+
+        def stat(x):
+            return th1 + 3 * th2 / (1 + mpmath.exp(-x)) ** 2 - x / 2
+
+        x = mpmath.findroot(stat, (mpmath.mpf(-40), mpmath.mpf(40)), solver="anderson")
+        u, v = 1 / (1 + mpmath.exp(-x)), 1 / (1 + mpmath.exp(x))
+        value = th1 * u + th2 * u**3 - (u * mpmath.log(u) + v * mpmath.log(v)) / 2
+        return u, value
+
+
+class TestConstantGraphonSupMpmath:
+    @pytest.mark.parametrize("th1, th2", [(0.2, 3.0), (8.0, 0.0), (-8.0, 0.0), (0.5, 0.2)])
+    def test_matches_mpmath(self, th1, th2):
+        # the first three maximizers sit within 1.2e-7 of 0 or 1, where
+        # I'(u) = log(u/(1-u))/2 loses about 8 digits in double precision
+        u, val = constant_graphon_sup(MultiplierPair(th1, th2))
+        u_mp, val_mp = mp_constant_sup(th1, th2)
+        assert abs(u - u_mp) <= 1e-14
+        assert abs(val - val_mp) <= 1e-14
 
 
 class TestRegionClassify:
