@@ -9,6 +9,7 @@ Exit codes are part of the contract:
     4  infeasible constraint target
     5  enumeration capacity exceeded
     6  iterative non-convergence
+    7  input I/O failure (an input file cannot be read)
 
 Output rules: every CSV gets a header row and one trailing comment line with
 the package version, a hash of the run configuration, and the tolerances in
@@ -47,6 +48,7 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_CAPACITY = 5
 EXIT_NONCONVERGENCE = 6
+EXIT_INPUT_IO = 7
 
 EPS_MAX = 0.1
 
@@ -128,10 +130,17 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.config:
+        try:
+            with open(args.config, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            # exit 3 is reserved for output I/O
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_IO
     try:
         if args.config:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
+            cfg = json.loads(raw)
             if not isinstance(cfg, dict):
                 raise DomainError(f"{args.config} must hold a JSON object")
             t1_list = [float(x) for x in cfg.get("t1", [])]

@@ -20,9 +20,10 @@ cells at n = 8). Every exact quantity depends on a graph only through
 the cells, finite at |n^2 theta . T| in the hundreds; the canonical means
 and the scaled density covariance, which is the (positive-definite)
 Jacobian of the damped Newton multiplier calibration, are weighted moments
-over them. N_n is built once per n, lazily, by adding one vertex to the
-per-mask (edges, triangles) tables of the 2^((n-1)(n-2)/2) graphs on n - 1
-vertices. Counting runs to n = 8, weighted sums to n = 7.
+over them. N_1..N_8 are 424 integer cells in all, committed as the
+generated table ``_dos_cells`` and imported on first use; nothing is
+enumerated at run time. The tests rebuild the table by per-mask enumeration
+and compare it byte for byte. Counting runs to n = 8, weighted sums to n = 7.
 
 The canonical weight is constant on a constraint class, so the relative
 entropy of the microcanonical with respect to the canonical ensemble is
@@ -72,7 +73,7 @@ __all__ = [
     "WEIGHTED_CAPACITY",
 ]
 
-COUNT_CAPACITY = 8     # N_8 is built from the 2^21 per-mask tables at n = 7
+COUNT_CAPACITY = 8     # the committed cell table _dos_cells holds N_1..N_8
 WEIGHTED_CAPACITY = 7
 
 
@@ -203,7 +204,7 @@ def densities_to_counts(n: int, t1: float, t3: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration
+# exact ensembles on the density of states
 # ---------------------------------------------------------------------------
 
 
@@ -211,57 +212,17 @@ def _pairs(n: int):
     return list(combinations(range(n), 2))
 
 
-def _popcount_u32(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint32, copy=True)
-    v = v - ((v >> np.uint32(1)) & np.uint32(0x55555555))
-    v = (v & np.uint32(0x33333333)) + ((v >> np.uint32(2)) & np.uint32(0x33333333))
-    v = (v + (v >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    return ((v * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
-
-
-def _triangle_masks(n: int) -> list:
-    bit = {p: b for b, p in enumerate(_pairs(n))}
-    masks = []
-    for i, j, k in combinations(range(n), 3):
-        masks.append((1 << bit[(i, j)]) | (1 << bit[(j, k)]) | (1 << bit[(i, k)]))
-    return masks
-
-
-@lru_cache(maxsize=8)
-def _enum_tables(n: int) -> tuple:
-    """(edge counts, triangle counts) for every graph mask on n vertices, n <= 7."""
-    m = n * (n - 1) // 2
-    masks = np.arange(1 << m, dtype=np.uint32)
-    edges = _popcount_u32(masks)
-    tris = np.zeros(masks.size, dtype=np.int16)
-    for tm in _triangle_masks(n):
-        tm = np.uint32(tm)
-        tris += ((masks & tm) == tm).astype(np.int16)
-    return edges, tris
-
-
 @lru_cache(maxsize=COUNT_CAPACITY)
 def _dos(n: int) -> tuple:
     """Density of states N_n(e, t) as (edges, triangles, counts) over its nonzero cells.
 
-    1 <= n <= COUNT_CAPACITY. Vertex n - 1 is added to every graph G on
-    n - 1 vertices: a neighbourhood S of size k adds k edges and e(G[S])
-    triangles. Relabelling maps any k-set onto {0, ..., k - 1} and keeps
-    the joint law of (e(G), t(G), e(G[S])), so one representative S per
-    size, weighted by C(n - 1, k), stands for all 2^(n-1) neighbourhoods.
+    1 <= n <= COUNT_CAPACITY. Three int64 arrays in row-major (e, t)
+    order, read from the committed cell table ``_dos_cells``, which the
+    tests regenerate by per-mask enumeration and compare cell by cell.
     """
-    edges, tris = _enum_tables(n - 1)
-    masks = np.arange(edges.size, dtype=np.uint32)
-    bit = {p: b for b, p in enumerate(_pairs(n - 1))}
-    width = math.comb(n, 3) + 1
-    base = edges * width + tris
-    table = np.zeros((n * (n - 1) // 2 + 1, width), dtype=np.int64)
-    for k in range(n):
-        inside = np.uint32(sum(1 << bit[p] for p in combinations(range(k), 2)))
-        hist = np.bincount(base + _popcount_u32(masks & inside), minlength=table.size)
-        table[k:] += math.comb(n - 1, k) * hist.reshape(table.shape)[: table.shape[0] - k]
-    e, t = np.nonzero(table)
-    return e, t, table[e, t]
+    from ._dos_cells import CELLS
+
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*CELLS[n]))
 
 
 def _class_size(n: int, e_star: int, t_star: int) -> int:
@@ -287,8 +248,9 @@ def _count_pair(c_star) -> tuple:
 def count_constrained(n: int, c_star) -> int:
     """Number of graphs on n labelled vertices with the exact count pair.
 
-    n <= 8. A lookup in the cached density of states N_n(e, t); pairs
-    outside its cells (negative, too many edges, non-graphical) count 0.
+    n <= 8. A lookup in the density of states N_n(e, t), read from the
+    committed cell table; pairs outside its cells (negative, too many
+    edges, non-graphical) count 0.
     """
     if n < 1 or n > COUNT_CAPACITY:
         raise CapacityError(f"count_constrained handles 1 <= n <= {COUNT_CAPACITY}, got {n!r}")
@@ -300,18 +262,6 @@ def _require_weighted(n: int) -> None:
         raise CapacityError(
             f"exact weighted enumeration handles 1 <= n <= {WEIGHTED_CAPACITY}, got {n!r}"
         )
-
-
-def _log_weights(n: int, theta) -> tuple:
-    """(log canonical weights over all masks, psi_n): the per-mask reference."""
-    edges, tris = _enum_tables(n)
-    th1, th2 = float(theta[0]), float(theta[1])
-    # n^2 theta . T(G) = 2 th1 C1 + (6/n) th2 C3
-    h = 2.0 * th1 * edges + (6.0 / n) * th2 * tris
-    hmax = float(h.max())
-    logz = hmax + math.log(float(np.exp(h - hmax).sum()))
-    psi = logz / n ** 2
-    return h - logz, psi
 
 
 def _canonical_cells(n: int, theta) -> tuple:

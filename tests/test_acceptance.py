@@ -43,9 +43,10 @@ from ergraphon import (
     subgraph_counts,
     triangle_density,
 )
-from ergraphon.ensembles import _enum_tables, _log_weights, counts_to_densities
+from ergraphon.ensembles import counts_to_densities
 from ergraphon.optimize import loglog_slope
 
+from enum_oracle import enum_tables, log_weights
 from test_entropy import central_difference
 
 
@@ -228,18 +229,21 @@ def test_criterion_7_finite_ensemble_identities():
         if sol.s_n < 0:
             failures.append(f"S_n < 0 at n={n} {(c.edges, c.triangles)}")
         # recompute both routes independently of the library's internal check
-        edges_tab, tris_tab = _enum_tables(n)
-        logw, _ = _log_weights(n, sol.theta)
+        edges_tab, tris_tab = enum_tables(n)
+        logw, _ = log_weights(n, sol.theta)
         sel = (edges_tab == c.edges) & (tris_tab == c.triangles)
         p_mic = 1.0 / sol.omega
         s_sum = float(np.sum(p_mic * (math.log(p_mic) - logw[sel])))
         s_single = -math.log(sol.omega) - float(logw[np.argmax(sel)])
         if abs(s_sum - s_single) > 1e-12 * max(1.0, abs(s_single)):
             failures.append(f"sum/single disagree at n={n}: {s_sum} vs {s_single}")
+        if abs(s_sum - sol.s_n) > 1e-12 * max(1.0, abs(sol.s_n)):
+            failures.append(f"library S_n disagrees at n={n}: {sol.s_n} vs {s_sum}")
         done += 1
     if done < 50:
         failures.append(f"only {done} interior constraints found")
-    report(7, not failures, failures or "50 random constraints: both routes agree to 1e-12",
+    report(7, not failures,
+           failures or "50 random constraints: both routes and the library's S_n agree to 1e-12",
            time.perf_counter() - t0, 120.0)
 
 

@@ -113,6 +113,21 @@ class TestCurveCommand:
         )
         assert code == 3
 
+    def test_missing_config_exit_7(self, tmp_path, capsys):
+        code, out, err = run_capture(capsys, "curve", "--config", str(tmp_path / "missing.json"))
+        assert code == 7
+        assert out == ""
+        assert "missing.json" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"t1": [0.6], "side": "\x80"}')
+        code, out, err = run_capture(capsys, "curve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
     def test_config_file_batch(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t1": [0.6], "eps": [1e-4], "side": "below"}))
@@ -274,3 +289,10 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_dos_cells_unloaded(self):
+        # the density-of-states table is imported on the first exact query
+        code = "import sys, ergraphon; print('ergraphon._dos_cells' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

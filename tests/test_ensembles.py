@@ -4,6 +4,7 @@ sampler against closed forms and the exact enumeration."""
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ from ergraphon import (
     subgraph_counts,
     triangle_density,
 )
-from ergraphon.ensembles import _dos, _enum_tables, _flip_blocks, _log_weights
+from ergraphon import _dos_cells
+from ergraphon.ensembles import _accept_table, _dos, _flip_blocks
+
+from enum_oracle import DOS_MAX_N, dos_by_vertex, dos_cells_source, enum_tables, log_weights
 
 
 def brute_counts(g: DenseGraph):
@@ -51,12 +55,33 @@ def brute_counts(g: DenseGraph):
 def per_mask_class_sum(n, c_star, theta):
     """(Omega, S_n) as the literal sum of p_mic log(p_mic / w) over the
     class's masks, with canonical weights from the per-mask enumeration."""
-    edges_tab, tris_tab = _enum_tables(n)
-    logw, _ = _log_weights(n, theta)
+    edges_tab, tris_tab = enum_tables(n)
+    logw, _ = log_weights(n, theta)
     sel = (edges_tab == c_star[0]) & (tris_tab == c_star[1])
     omega = int(np.count_nonzero(sel))
     p_mic = 1.0 / omega
     return omega, float(np.sum(p_mic * (math.log(p_mic) - logw[sel])))
+
+
+class ScriptedRng:
+    """Stands in for random.Random: ``getrandbits`` returns ``bits`` in turn,
+    ``random`` returns ``u`` (None: the kernel must not draw a uniform)."""
+
+    def __init__(self, bits, u):
+        self.bits = list(bits)
+        self.u = u
+
+    def getrandbits(self, k):
+        assert self.bits[0] < 1 << k
+        return self.bits.pop(0)
+
+    def random(self):
+        assert self.u is not None, "uniform drawn for a flip with dH >= 0"
+        u, self.u = self.u, None
+        return u
+
+    def done(self):
+        return not self.bits
 
 
 def random_graph(rng, n, p=0.5):
@@ -84,7 +109,7 @@ class TestDenseGraph:
 
     def test_from_mask_matches_tables(self):
         n = 5
-        edges_tab, tris_tab = _enum_tables(n)
+        edges_tab, tris_tab = enum_tables(n)
         rng = random.Random(2)
         for _ in range(50):
             mask = rng.randrange(1 << (n * (n - 1) // 2))
@@ -147,7 +172,7 @@ class TestDensityOfStates:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_per_mask_histogram(self, n):
         # independent route: bincount the full per-mask table on n vertices
-        edges_tab, tris_tab = _enum_tables(n)
+        edges_tab, tris_tab = enum_tables(n)
         width = math.comb(n, 3) + 1
         hist = np.bincount(edges_tab * width + tris_tab)
         cells = np.flatnonzero(hist)
@@ -160,6 +185,18 @@ class TestDensityOfStates:
         edges, tris, counts = _dos(8)
         assert counts.size == 228
         assert int(counts.sum()) == 1 << 28
+
+    @pytest.mark.parametrize("n", range(1, DOS_MAX_N + 1))
+    def test_matches_vertex_adding_builder(self, n):
+        # cell by cell, in order and dtype, against the oracle's builder
+        for got, expect in zip(_dos(n), dos_by_vertex(n)):
+            assert got.dtype == np.int64
+            assert got.shape == expect.shape
+            assert (got == expect).all()
+
+    def test_committed_table_is_generated(self):
+        # the module the library loads is the generator's output, byte for byte
+        assert Path(_dos_cells.__file__).read_bytes() == dos_cells_source().encode()
 
 
 class TestCountConstrained:
@@ -319,8 +356,8 @@ class TestRelativeEntropyExact:
         # canonical weights are constant on the constraint class
         n = 5
         sol = relative_entropy_exact(n, (5, 1))
-        edges_tab, tris_tab = _enum_tables(n)
-        logw, _ = _log_weights(n, sol.theta)
+        edges_tab, tris_tab = enum_tables(n)
+        logw, _ = log_weights(n, sol.theta)
         sel = (edges_tab == 5) & (tris_tab == 1)
         w = logw[sel]
         assert float(w.max() - w.min()) < 1e-12
@@ -357,8 +394,8 @@ class TestRelativeEntropyExact:
         # first-order entropy change vanishes along feasible probability flows
         n = 4
         sol = relative_entropy_exact(n, (3, 1))
-        edges_tab, tris_tab = _enum_tables(n)
-        logw, _ = _log_weights(n, sol.theta)
+        edges_tab, tris_tab = enum_tables(n)
+        logw, _ = log_weights(n, sol.theta)
         t1 = 2.0 * edges_tab / n**2
         t3 = 6.0 * tris_tab / n**3
         rng = np.random.default_rng(7)
@@ -408,12 +445,12 @@ class TestMcmc:
         visits = [0] * 8
         for _ in range(samples):
             c1, c3, _, _ = _flip_blocks(n, rows, c1, c3, th[0], th[1], (block,), rng)
-            # mask bits in the pair order (0, 1), (0, 2), (1, 2) of _enum_tables
+            # mask bits in the pair order (0, 1), (0, 2), (1, 2) of enum_tables
             visits[(rows[0] >> 1 & 1) | (rows[0] >> 2 & 1) << 1 | (rows[1] >> 2 & 1) << 2] += 1
         counts = subgraph_counts(DenseGraph(n, tuple(rows)))
         assert (c1, c3) == (counts.edges, counts.triangles)
         freq = np.array(visits) / samples
-        logw, _ = _log_weights(3, th)
+        logw, _ = log_weights(3, th)
         exact = np.exp(logw)
         # tau-inflated multinomial bands (short chain memory at n = 3): the
         # factor 10 covers the autocorrelation time of the per-proposal
@@ -422,6 +459,41 @@ class TestMcmc:
         for k in range(8):
             band = 6 * math.sqrt(exact[k] * (1 - exact[k]) * (10 / block) / samples)
             assert abs(freq[k] - exact[k]) < band
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("th", [(0.3, 0.2), (-0.25, 0.6)])
+    def test_detailed_balance_exact(self, n, th):
+        # the kernel's full transition matrix, one proposal at a time: a
+        # scripted RNG names the pair (after one out-of-range draw, which
+        # must be redrawn) and returns a uniform one ulp below or above the
+        # acceptance table entry, so P(x, x ^ pair) = entry / npairs exactly
+        m = n * (n - 1) // 2
+        pairs = list(combinations(range(n), 2))
+        tables = {1: _accept_table(n, *th, 1), -1: _accept_table(n, *th, -1)}
+        P = np.zeros((1 << m, 1 << m))
+        for x in range(1 << m):
+            g = DenseGraph.from_mask(n, x)
+            c = subgraph_counts(g)
+            for r, (i, j) in enumerate(pairs):
+                common = (g.rows[i] & g.rows[j]).bit_count()
+                entry = tables[-1 if (g.rows[i] >> j) & 1 else 1][common]
+                if entry is None:
+                    probes = [(None, True)]
+                else:
+                    probes = [(math.nextafter(entry, 0.0), True),
+                              (math.nextafter(entry, 1.0), False)]
+                for u, flips in probes:
+                    rng = ScriptedRng([m, r], u)
+                    rows = list(g.rows)
+                    c1, c3, _, _ = _flip_blocks(n, rows, c.edges, c.triangles, *th, (1,), rng)
+                    assert rng.done()
+                    h = DenseGraph.from_mask(n, x ^ (1 << r) if flips else x)
+                    assert tuple(rows) == h.rows
+                    assert (c1, c3) == (subgraph_counts(h).edges, subgraph_counts(h).triangles)
+                P[x, x ^ (1 << r)] = (1.0 if entry is None else entry) / m
+        pi = np.exp(log_weights(n, th)[0])
+        flow = pi[:, None] * P
+        assert np.abs(flow - flow.T).max() <= 1e-15
 
     def test_mcmc_against_exact_means(self):
         n = 7
