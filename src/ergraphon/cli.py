@@ -50,6 +50,15 @@ EXIT_CAPACITY = 5
 EXIT_NONCONVERGENCE = 6
 EXIT_INPUT_IO = 7
 
+# the first class an error is an instance of picks its exit code
+_EXIT_CODES = (
+    (CapacityError, EXIT_CAPACITY),
+    (InfeasibleError, EXIT_INFEASIBLE),
+    (ConvergenceError, EXIT_NONCONVERGENCE),
+    (ErgraphonError, EXIT_DOMAIN),
+    (OSError, EXIT_IO),
+)
+
 EPS_MAX = 0.1
 
 
@@ -263,24 +272,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapacityError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (InfeasibleError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ConvergenceError,) as exc:
-        print(f"error: {exc} diagnostics={exc.diagnostics}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (DomainError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ErgraphonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (ErgraphonError, OSError) as exc:
+        diag = f" diagnostics={exc.diagnostics}" if isinstance(exc, ConvergenceError) else ""
+        print(f"error: {exc}{diag}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -148,9 +148,7 @@ def bregman_quotient_min(t1: float, xtol: float = 1e-10) -> QuotientMin:
     num = max(int((hi - lo) / 1e-4), 64) + 1
     x, val, _, n_min = grid_refine_min(
         lambda x: bregman_quotient(t1, x),
-        lo,
-        hi,
-        num=num,
+        np.linspace(lo, hi, num),
         xtol=xtol,
         f_vec=lambda xs: _bregman_quotient_vec(t1, xs),
     )
@@ -173,7 +171,7 @@ def block_entropy_rate(t1: float, c: float) -> float:
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError(f"need c > 0, got {c!r}")
     inner = t1 - t1 / c
     if not 0.0 <= inner <= 1.0:
@@ -210,7 +208,7 @@ def entropy_taylor_gap_series(t1: float, y: float, terms: int) -> float:
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"need y > 0, got {y!r}")
     if terms < 3:
         raise DomainError(f"need at least 3 terms, got {terms!r}")

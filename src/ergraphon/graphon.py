@@ -258,10 +258,15 @@ def above_line_graphon(t1: float, eps: float) -> StepGraphon:
     the bulk: corner value solves I'(h11) = 3 I'(1-t1), the mixed value is
     1 - t1 + h1 eps with h1 = -1/(1-2 t1), and the bulk is t1 + h2 eps with
     h2 = -2/(1-2 t1). Both constraints hold to first order in eps.
+
+    The vanishing block needs lam*eps < 1, that is eps < (1-2 t1)^2, and
+    every block value must stay in [0, 1]; otherwise EpsilonTooLargeError
+    is raised (CLI exit code 2). Near t1 = 1/2 the first bound binds: at
+    t1 = 0.49 it allows only eps < 4e-4.
     """
     if not 0.0 < t1 < 1.0 or t1 == 0.5:
         raise DomainError(f"need t1 in (0, 1) with t1 != 1/2, got {t1!r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"need eps > 0, got {eps!r}")
     lam = 1.0 / (1.0 - 2.0 * t1) ** 2
     h2 = -2.0 / (1.0 - 2.0 * t1)
@@ -288,7 +293,7 @@ def below_line_global_graphon(t1: float, eps: float) -> StepGraphon:
     """
     if not 0.0 < t1 <= 0.5:
         raise DomainError(f"need t1 in (0, 1/2], got {t1!r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"need eps > 0, got {eps!r}")
     d = t1 * eps ** (1.0 / 3.0)
     if d >= min(t1, 1.0 - t1):
@@ -310,7 +315,7 @@ def below_line_local_graphon(t1: float, eps: float) -> StepGraphon:
     """
     if not 0.5 < t1 < 1.0:
         raise DomainError(f"need t1 in (1/2, 1), got {t1!r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"need eps > 0, got {eps!r}")
     y_star = bregman_quotient_min(t1).x
     delta = (t1 / abs(y_star)) * eps ** (1.0 / 3.0)

@@ -34,7 +34,8 @@ K2 + K3 - delta the explicit cubic c3 g22^3 + c2 g22^2 + c1 g22 + c0,
     c0 = lam^3 g11^2 ((3/4) t1/mu + g11 + (3/4) lam g11/mu) - delta;
 
 its real roots are the feasible g22, and the remaining 2-D landscape in
-(lam, g11) is explored by multistart direct search.
+(lam, g11) is searched by Nelder-Mead (``optimize.nelder_mead``) from four
+starts: three fixed ones and one from the reduced or vanishing-block branch.
 
 ``exclusion_scan`` probes the ansatz families for which K2 cannot vanish and
 fits how fast K2 decays with eps: whenever K2 > 0 along those families it
@@ -50,7 +51,7 @@ import numpy as np
 from .entropy import bernoulli_entropy, bernoulli_entropy_deriv, block_entropy_rate
 from .errors import ConvergenceError, DomainError, EpsilonTooLargeError, InfeasibleError
 from .graphon import StepGraphon, _corner_value, entropy_functional
-from .optimize import golden_section_min, loglog_slope
+from .optimize import grid_refine_min, loglog_slope, nelder_mead
 
 __all__ = [
     "PerturbationAnsatz",
@@ -186,7 +187,7 @@ def reduced_ansatz(t1: float, eps: float, lam: float) -> PerturbationAnsatz:
     """Closed-form member of the K1 = K2 = 0, K3 = -t1^3 eps family."""
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"need eps > 0, got {eps!r}")
     if not 0.0 < lam < 1.0:
         raise DomainError(f"need lam in (0, 1), got {lam!r}")
@@ -269,11 +270,7 @@ def _solve_reduced(t1: float, eps: float):
     grid = np.linspace(lam_min, 0.5, 801)
     extra = np.geomspace(lam_min, 0.5, 200)
     cand = np.unique(np.concatenate([grid, extra]))
-    vals = np.array([obj(x) for x in cand])
-    i = int(np.argmin(vals))
-    lo = cand[max(i - 1, 0)]
-    hi = cand[min(i + 1, cand.size - 1)]
-    lam, ent, iters = golden_section_min(obj, lo, hi, xtol=1e-13)
+    lam, ent, iters, _ = grid_refine_min(obj, cand, xtol=1e-13)
     # the symmetric point is always stationary; prefer it on numerical ties
     ent_half = obj(0.5)
     if ent_half <= ent + 4e-16:
@@ -317,9 +314,6 @@ def _best_feasible(t1, lam, g11, delta):
 
 
 def _solve_exact(t1: float, delta: float, seeds):
-    # imported here, its only use, so that importing ergraphon skips scipy
-    from scipy.optimize import minimize
-
     evaluations = 0
 
     def obj(x):
@@ -333,19 +327,14 @@ def _solve_exact(t1: float, delta: float, seeds):
 
     best = None
     for x0 in seeds:
-        res = minimize(
-            obj,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options=dict(xatol=1e-12, fatol=1e-15, maxiter=3000),
-        )
-        if res.fun < 1e8 and (best is None or res.fun < best.fun):
-            best = res
+        x, fun, _ = nelder_mead(obj, x0)
+        if fun < 1e8 and (best is None or fun < best[1]):
+            best = (x, fun)
     if best is None:
         raise InfeasibleError(
             f"no two-step solution within value bounds for delta={delta!r}"
         )
-    found = _best_feasible(t1, best.x[0], best.x[1], delta)
+    found = _best_feasible(t1, best[0][0], best[0][1], delta)
     return found[1], found[0], evaluations
 
 
@@ -482,6 +471,8 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
     report also confirms the K2 = 0 reduced branch is attainable and that
     its exact entropies track the case expansions.
     """
+    if not 0.0 < t1 < 1.0:
+        raise DomainError(f"need t1 in (0, 1), got {t1!r}")
     if not 0.0 < eps <= 1e-2:
         raise DomainError(f"need eps in (0, 1e-2], got {eps!r}")
     scales = tuple(eps * 10.0 ** (-i) for i in range(n_scales))

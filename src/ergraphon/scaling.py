@@ -129,7 +129,7 @@ def specific_relative_entropy(t1: float, eps: float, side: str) -> float:
     """
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError(f"need eps >= 0, got {eps!r}")
     if eps == 0.0:
         return 0.0
@@ -232,7 +232,10 @@ def curve_sweep(t1_list, eps_grid, side: str) -> list:
     neighbour's slope). side "both" concatenates below and above sweeps.
     For t1 < 1/2 the above-line numeric value is a lower bound for the true
     relative entropy rather than an equality; the tabulated numbers are
-    unaffected.
+    unaffected. The above-line construction needs eps < (1-2 t1)^2 (see
+    ``above_line_graphon``), so side "above" or "both" raises
+    EpsilonTooLargeError (CLI exit code 2) near t1 = 1/2, for instance at
+    eps = 1e-3 for t1 within about 0.016 of 1/2.
     """
     sides = ("below", "above") if side == "both" else (side,)
     if any(s not in ("below", "above") for s in sides):

@@ -283,8 +283,11 @@ class TestEntryPoint:
         assert "-0.34657359027997264" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported lazily by the exact_constraints solver alone
+        # the package does not use scipy, not even in exact_constraints solves
         code = ("import sys, ergraphon; "
+                "ergraphon.solve_microcanonical(0.3, 0.3**3 + 0.9e-4, mode='exact_constraints'); "
+                "ergraphon.solve_microcanonical(0.3, 0.3**3 * (1 - 1e-4), "
+                "mode='exact_constraints'); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

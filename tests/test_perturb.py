@@ -15,6 +15,7 @@ from ergraphon import (
     EpsilonTooLargeError,
     InfeasibleError,
     PerturbationAnsatz,
+    above_line_graphon,
     ansatz_graphon,
     below_line_global_graphon,
     below_line_local_graphon,
@@ -25,11 +26,13 @@ from ergraphon import (
     constraint_residuals,
     edge_density,
     entropy_functional,
+    entropy_taylor_gap_series,
     exclusion_scan,
     g12_eliminating_k1,
     k2_quadratic_form,
     reduced_ansatz,
     solve_microcanonical,
+    specific_relative_entropy,
     triangle_density,
 )
 from ergraphon.optimize import loglog_slope
@@ -463,3 +466,23 @@ class TestExclusionScan:
     def test_domain(self):
         with pytest.raises(DomainError):
             exclusion_scan(0.3, eps=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: above_line_graphon(0.3, math.nan),
+    lambda: below_line_global_graphon(0.3, math.nan),
+    lambda: below_line_local_graphon(0.7, math.nan),
+    lambda: reduced_ansatz(0.3, math.nan, 0.5),
+    lambda: specific_relative_entropy(0.3, math.nan, "above"),
+    lambda: specific_relative_entropy(0.3, math.nan, "below"),
+    lambda: exclusion_scan(math.nan),
+    lambda: entropy_taylor_gap_series(0.3, math.nan, 5),
+    lambda: block_entropy_rate(0.3, math.nan),
+], ids=["above_line", "below_global", "below_local", "reduced_ansatz", "sre_above",
+        "sre_below", "exclusion_t1", "taylor_series", "block_rate"])
+def test_nan_is_a_domain_error(call):
+    # NaN fails every comparison, so a check written as eps <= 0 lets it
+    # through to a later EpsilonTooLargeError or a silent nan
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
