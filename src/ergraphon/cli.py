@@ -38,7 +38,7 @@ from .errors import (
     ErgraphonError,
     InfeasibleError,
 )
-from .ensembles import count_constrained, mcmc_sample, relative_entropy_exact
+from .ensembles import MCMC_CAPACITY, count_constrained, mcmc_sample, relative_entropy_exact
 from .perturb import solve_microcanonical
 from .scaling import CURVE_FIELDS, curve_sweep
 
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("mcmc", help="edge-flip Metropolis sampling")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"vertices, 3 <= n <= {MCMC_CAPACITY} (a larger n exits 5)")
     p.add_argument("--theta1", type=float, required=True)
     p.add_argument("--theta2", type=float, required=True)
     p.add_argument("--steps", required=True, help="recorded proposals (1e6 style accepted)")

@@ -75,6 +75,10 @@ __all__ = [
 
 COUNT_CAPACITY = 8     # the committed cell table _dos_cells holds N_1..N_8
 WEIGHTED_CAPACITY = 7
+# Largest n the Metropolis sampler takes. _flip_pairs holds all n(n-1)/2
+# pairs as two tuples: building them peaks at about 144 bytes per pair
+# (275 MiB at n = 2000, measured), and the cached tuples keep about 16.
+MCMC_CAPACITY = 2000
 
 
 @dataclass(frozen=True)
@@ -513,6 +517,13 @@ def _whole(name: str, value, least: int) -> int:
     return int(x)
 
 
+def _mcmc_n(n) -> int:
+    n = _whole("n", n, 3)
+    if n > MCMC_CAPACITY:
+        raise CapacityError(f"the Metropolis sampler handles 3 <= n <= {MCMC_CAPACITY}, got {n!r}")
+    return n
+
+
 def mcmc_sample(n: int, theta, steps: int, seed: int,
                 burnin: int | None = None, batches: int = 32,
                 start: DenseGraph | None = None) -> McmcSummary:
@@ -524,9 +535,10 @@ def mcmc_sample(n: int, theta, steps: int, seed: int,
     uniform pair, accepted with min(1, e^dH) where dH = 2 th1 dC1 +
     (6/n) th2 dC3; the triangle increment is the popcount of one row
     intersection, and e^dH is read from a table indexed by it. Fully
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. Needs 3 <= n <= MCMC_CAPACITY (2000);
+    a larger n raises CapacityError before any pair table is built.
     """
-    n = _whole("n", n, 3)
+    n = _mcmc_n(n)
     steps = _whole("steps", steps, 1)
     burnin = 10 * n * n if burnin is None else _whole("burnin", burnin, 0)
     batches = _whole("batches", batches, 1)
@@ -577,9 +589,10 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
     1/sqrt(2 * block), independent of n, so the default block is sized for
     the tolerance). Persistent failure is reported with diagnostics;
     metastability near the broken-equivalence region shows up here and is
-    reported rather than silently retried.
+    reported rather than silently retried. Needs 3 <= n <= MCMC_CAPACITY
+    (2000), as ``mcmc_sample`` does.
     """
-    n = _whole("n", n, 3)
+    n = _mcmc_n(n)
     target1, target3 = _finite_pair("target", t_target)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"need a finite tol > 0, got {tol!r}")

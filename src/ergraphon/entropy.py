@@ -77,13 +77,18 @@ def bernoulli_entropy_deriv(u: float, k: int = 1) -> float:
 
 
 def _entropy_vec(u: np.ndarray) -> np.ndarray:
-    """Vectorized I(u) for u in [0, 1], endpoints mapped to exact 0."""
+    """Vectorized I(u) for u in [0, 1], endpoints mapped to exact 0.
+
+    When every entry is interior (the common case) the formula runs on the
+    array as it is, with no mask. Otherwise each entry outside (0, 1) is
+    evaluated at u = 1 - u = 1, where the formula gives exactly 0.
+    """
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
-    um = u[m]
-    out[m] = 0.5 * (um * np.log(um) + (1.0 - um) * np.log(1.0 - um))
-    return out
+    w = 1.0 - u
+    if not (u.size and u.min() > 0.0 and w.min() > 0.0):
+        inner = (u > 0.0) & (w > 0.0)
+        u, w = np.where(inner, u, 1.0), np.where(inner, w, 1.0)
+    return 0.5 * (u * np.log(u) + w * np.log(w))
 
 
 class QuotientMin(NamedTuple):

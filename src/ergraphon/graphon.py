@@ -68,25 +68,36 @@ class StepGraphon:
 
     measures: 1-D array of positive block measures summing to 1.
     values:   symmetric matrix, entry (i, j) is the constant on block i x j.
+
+    Both inputs are copied once into read-only float arrays, so changing
+    the caller's arrays later leaves the graphon as it was. The checks run
+    in this order: measures positive (a NaN measure fails here), measures
+    summing to 1 within 1e-12, matrix shape, values in [0, 1] within 1e-12
+    (a NaN value fails here), symmetry. Values within the tolerance outside
+    [0, 1] are clipped onto it.
     """
 
     measures: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.measures, dtype=float).reshape(-1)
-        v = np.asarray(self.values, dtype=float)
-        if m.size == 0 or np.any(m <= 0.0):
+        m = np.array(self.measures, dtype=float).reshape(-1)
+        v = np.array(self.values, dtype=float)
+        # written as "not >" and "not (<= and >=)" so that NaN fails them
+        if m.size == 0 or not m.min() > 0.0:
             raise DomainError("block measures must be positive")
-        if abs(float(m.sum()) - 1.0) > _MEASURE_TOL:
-            raise DomainError(f"block measures must sum to 1, got {m.sum()!r}")
+        total = m.sum()
+        if abs(float(total) - 1.0) > _MEASURE_TOL:
+            raise DomainError(f"block measures must sum to 1, got {total!r}")
         if v.shape != (m.size, m.size):
             raise DomainError(f"value matrix shape {v.shape} does not match {m.size} blocks")
-        if not np.array_equal(v, v.T):
-            raise DomainError("value matrix must be symmetric")
-        if np.any(v < -_VALUE_TOL) or np.any(v > 1.0 + _VALUE_TOL):
+        lo, hi = v.min(), v.max()
+        if not (lo >= -_VALUE_TOL and hi <= 1.0 + _VALUE_TOL):
             raise DomainError("block values must lie in [0, 1]")
-        v = np.clip(v, 0.0, 1.0)
+        if not (v == v.T).all():
+            raise DomainError("value matrix must be symmetric")
+        if lo < 0.0 or hi > 1.0:
+            v = np.clip(v, 0.0, 1.0)
         m.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "measures", m)

@@ -141,13 +141,24 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
+def _two_step_graphon(lam: float, v11: float, v12: float, v22: float) -> StepGraphon:
+    return StepGraphon(np.array([lam, 1.0 - lam]), np.array([[v11, v12], [v12, v22]]))
+
+
 def ansatz_graphon(t1: float, a: PerturbationAnsatz) -> StepGraphon:
     """The step graphon t1 + Delta for a two-step perturbation."""
-    v11, v12, v22 = a.values(t1)
-    return StepGraphon(
-        np.array([a.lam, 1.0 - a.lam]),
-        np.array([[v11, v12], [v12, v22]]),
-    )
+    return _two_step_graphon(a.lam, *a.values(t1))
+
+
+def _boxed_entropy(t1: float, lam: float, g11: float, g12: float, g22: float) -> float:
+    """Entropy functional of t1 + Delta, or inf when a block value leaves [0, 1].
+
+    Scores one candidate of a search without building a ``PerturbationAnsatz``.
+    """
+    v11, v12, v22 = t1 + g11, t1 + g12, t1 + g22
+    if not (0.0 <= v11 <= 1.0 and 0.0 <= v12 <= 1.0 and 0.0 <= v22 <= 1.0):
+        return math.inf
+    return entropy_functional(_two_step_graphon(lam, v11, v12, v22))
 
 
 def constraint_residuals(t1: float, a: PerturbationAnsatz) -> ConstraintResiduals:
@@ -183,6 +194,11 @@ def g12_eliminating_k1(lam: float, g11: float, g22: float) -> float:
     return -0.5 * (lam / mu * g11 + mu / lam * g22)
 
 
+def _reduced_deltas(u: float, lam: float) -> tuple:
+    """(g11, g12, g22) of the reduced family at amplitude u = t1 eps^(1/3)."""
+    return -(1.0 - lam) / lam * u, u, -lam / (1.0 - lam) * u
+
+
 def reduced_ansatz(t1: float, eps: float, lam: float) -> PerturbationAnsatz:
     """Closed-form member of the K1 = K2 = 0, K3 = -t1^3 eps family."""
     if not 0.0 < t1 < 1.0:
@@ -191,13 +207,7 @@ def reduced_ansatz(t1: float, eps: float, lam: float) -> PerturbationAnsatz:
         raise DomainError(f"need eps > 0, got {eps!r}")
     if not 0.0 < lam < 1.0:
         raise DomainError(f"need lam in (0, 1), got {lam!r}")
-    u = t1 * eps ** (1.0 / 3.0)
-    a = PerturbationAnsatz(
-        lam=lam,
-        g11=-(1.0 - lam) / lam * u,
-        g12=u,
-        g22=-lam / (1.0 - lam) * u,
-    )
+    a = PerturbationAnsatz(lam, *_reduced_deltas(t1 * eps ** (1.0 / 3.0), lam))
     if not a.in_unit_box(t1):
         raise EpsilonTooLargeError(
             f"eps={eps!r} too large for lam={lam!r}: values {a.values(t1)!r} leave [0, 1]"
@@ -244,26 +254,19 @@ def case_entropy(t1: float, eps: float, case: str, param: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_entropy(t1: float, eps: float, lam: float) -> float:
-    try:
-        a = reduced_ansatz(t1, eps, lam)
-    except EpsilonTooLargeError:
-        return math.inf
-    return entropy_functional(ansatz_graphon(t1, a))
-
-
 def _solve_reduced(t1: float, eps: float):
-    u = eps ** (1.0 / 3.0)
-    lam_min = max(u / (1.0 + u) * (1.0 + 1e-12), _LAM_FLOOR)
+    r = eps ** (1.0 / 3.0)
+    lam_min = max(r / (1.0 + r) * (1.0 + 1e-12), _LAM_FLOOR)
     if lam_min >= 0.5:
         raise InfeasibleError(f"no feasible block measure for eps={eps!r}")
-    if t1 * (1.0 + u) > 1.0:
+    if t1 * (1.0 + r) > 1.0:
         raise InfeasibleError(
-            f"mixed value t1 (1 + eps^(1/3)) = {t1 * (1.0 + u)!r} > 1: eps too large"
+            f"mixed value t1 (1 + eps^(1/3)) = {t1 * (1.0 + r)!r} > 1: eps too large"
         )
+    u = t1 * r
 
     def obj(lam):
-        return _reduced_entropy(t1, eps, lam)
+        return _boxed_entropy(t1, lam, *_reduced_deltas(u, lam))
 
     # the landscape has at most one basin near lam = 1/2 and one scaling like
     # eps^(1/3); a linear grid plus log-spaced points near lam_min covers both
@@ -297,20 +300,20 @@ def _g22_roots(t1: float, lam: float, g11: float, delta: float):
 
 
 def _best_feasible(t1, lam, g11, delta):
-    """Lowest-entropy feasible completion (g12, g22) for given (lam, g11)."""
-    best = None
+    """Lowest-entropy feasible completion (g12, g22) for given (lam, g11).
+
+    Returns (entropy, ansatz), or None when no real root keeps every block
+    value in [0, 1]. Needs lam in (0, 1).
+    """
+    best_ent, best = math.inf, None
     for g22 in _g22_roots(t1, lam, g11, delta):
         g12 = g12_eliminating_k1(lam, g11, g22)
-        try:
-            a = PerturbationAnsatz(lam, g11, g12, g22)
-        except DomainError:
-            continue
-        if not a.in_unit_box(t1):
-            continue
-        ent = entropy_functional(ansatz_graphon(t1, a))
-        if best is None or ent < best[0]:
-            best = (ent, a)
-    return best
+        ent = _boxed_entropy(t1, lam, g11, g12, g22)
+        if ent < best_ent:
+            best_ent, best = ent, (g12, g22)
+    if best is None:
+        return None
+    return best_ent, PerturbationAnsatz(lam, g11, *best)
 
 
 def _solve_exact(t1: float, delta: float, seeds):

@@ -264,6 +264,15 @@ class TestMcmcCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_n_above_capacity_exit_5(self, capsys):
+        code, out, err = run_capture(
+            capsys, "mcmc", "--n", "2001", "--theta1", "0", "--theta2", "0",
+            "--steps", "100", "--seed", "1",
+        )
+        assert code == 5
+        assert out == ""
+        assert "n <= 2000" in err
+
     def test_negative_burnin_exit_2(self, capsys):
         code, out, _ = run_capture(
             capsys, "mcmc", "--n", "7", "--theta1", "0", "--theta2", "0",

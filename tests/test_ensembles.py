@@ -30,7 +30,7 @@ from ergraphon import (
     triangle_density,
 )
 from ergraphon import _dos_cells
-from ergraphon.ensembles import _accept_table, _dos, _flip_blocks
+from ergraphon.ensembles import MCMC_CAPACITY, _accept_table, _dos, _flip_blocks, _flip_pairs
 
 from enum_oracle import DOS_MAX_N, dos_by_vertex, dos_cells_source, enum_tables, log_weights
 
@@ -412,6 +412,17 @@ class TestRelativeEntropyExact:
 
 
 class TestMcmc:
+    def test_capacity(self):
+        # the ceiling is checked before any pair table is built
+        built = _flip_pairs.cache_info().misses
+        with pytest.raises(CapacityError, match=f"n <= {MCMC_CAPACITY}, got {MCMC_CAPACITY + 1}"):
+            mcmc_sample(MCMC_CAPACITY + 1, (0.0, 0.0), 10, seed=1)
+        with pytest.raises(CapacityError):
+            mcmc_sample(float(10 * MCMC_CAPACITY), (0.0, 0.0), 10, seed=1)
+        with pytest.raises(CapacityError):
+            mcmc_calibrate(MCMC_CAPACITY + 1, (0.5, 0.125), seed=1)
+        assert _flip_pairs.cache_info().misses == built
+
     def test_determinism(self):
         a = mcmc_sample(12, (0.2, -0.1), 20000, seed=9)
         b = mcmc_sample(12, (0.2, -0.1), 20000, seed=9)

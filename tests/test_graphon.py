@@ -77,6 +77,41 @@ class TestStepGraphon:
         with pytest.raises(DomainError):
             StepGraphon(np.array([1.0]), np.array([[1.5]]))
 
+    @pytest.mark.parametrize("measures, values, message", [
+        ([math.nan, 0.5], [[0.1, 0.2], [0.2, 0.3]], "block measures must be positive"),
+        ([0.5, math.nan], [[0.1, 0.2], [0.2, 0.3]], "block measures must be positive"),
+        ([0.0, 1.0], [[0.1, 0.2], [0.2, 0.3]], "block measures must be positive"),
+        ([], np.zeros((0, 0)), "block measures must be positive"),
+        ([0.5, 0.4], [[0.1, 0.2], [0.2, 0.3]], "block measures must sum to 1, got"),
+        ([0.5, 0.5], [[0.1, 0.2, 0.3]], "value matrix shape (1, 3) does not match 2 blocks"),
+        ([0.5, 0.5], [[math.nan, 0.2], [0.2, 0.3]], "block values must lie in [0, 1]"),
+        ([0.5, 0.5], [[0.1, math.nan], [math.nan, 0.3]], "block values must lie in [0, 1]"),
+        ([0.5, 0.5], [[0.1, 0.2], [0.2, 1.0 + 1e-9]], "block values must lie in [0, 1]"),
+        ([0.5, 0.5], [[0.1, 0.2], [0.25, 0.3]], "value matrix must be symmetric"),
+    ])
+    def test_validation_messages(self, measures, values, message):
+        with pytest.raises(DomainError) as exc:
+            StepGraphon(np.array(measures), np.array(values))
+        assert type(exc.value) is DomainError
+        assert str(exc.value).startswith(message)
+
+    def test_values_within_tolerance_are_clipped(self):
+        h = StepGraphon(np.array([0.5, 0.5]), np.array([[-1e-13, 0.2], [0.2, 1.0 + 1e-13]]))
+        assert h.values.tolist() == [[0.0, 0.2], [0.2, 1.0]]
+
+    def test_owns_its_arrays(self):
+        m = np.array([0.3, 0.7])
+        v = np.array([[0.2, 0.5], [0.5, 0.9]])
+        h = StepGraphon(m, v)
+        before = (edge_density(h), triangle_density(h), entropy_functional(h))
+        m[0] = 5.0
+        v[:] = 1.0
+        assert h.measures.tolist() == [0.3, 0.7]
+        assert h.values.tolist() == [[0.2, 0.5], [0.5, 0.9]]
+        assert (edge_density(h), triangle_density(h), entropy_functional(h)) == before
+        assert not h.measures.flags.writeable and not h.values.flags.writeable
+        assert m.flags.writeable and v.flags.writeable
+
     def test_functionals_match_brute_force(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
