@@ -38,8 +38,14 @@ from .errors import (
     ErgraphonError,
     InfeasibleError,
 )
-from .ensembles import MCMC_CAPACITY, count_constrained, mcmc_sample, relative_entropy_exact
-from .perturb import solve_microcanonical
+from .ensembles import (
+    _NEWTON_TOL,
+    MCMC_CAPACITY,
+    count_constrained,
+    mcmc_sample,
+    relative_entropy_exact,
+)
+from .perturb import _ER_TOL, _RESIDUAL_TOL, solve_microcanonical
 from .scaling import CURVE_FIELDS, curve_sweep
 
 EXIT_OK = 0
@@ -163,10 +169,8 @@ def cmd_curve(args) -> int:
         # malformed JSON, or a t1/eps entry that is not a number
         raise DomainError(f"bad curve input: {exc}") from None
     _check_eps_grid(eps_grid)
-    if side in ("above", "both") and any(t == 0.5 for t in t1_list):
-        raise DomainError("the above-line rate is undefined at t1 = 1/2")
     rows = curve_sweep(t1_list, eps_grid, side)
-    _emit(rows, CURVE_FIELDS, args, tolerances="er_tol=1e-09")
+    _emit(rows, CURVE_FIELDS, args, tolerances=f"residual={_RESIDUAL_TOL:g}")
     return EXIT_OK
 
 
@@ -176,7 +180,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(report.to_text())
     else:
         _emit([report.to_row()], report.ROW_FIELDS, args,
-              tolerances=f"residual=1e-10 er_tol={args.er_tol:g}")
+              tolerances=f"residual={_RESIDUAL_TOL:g} er_tol={args.er_tol:g}")
     return EXIT_OK
 
 
@@ -196,7 +200,7 @@ def cmd_exact(args) -> int:
         rows = [{"n": args.n, "edges": args.edges, "triangles": args.triangles,
                  "omega": omega}]
         fields = ("n", "edges", "triangles", "omega")
-    _emit(rows, fields, args, tolerances="newton=1e-10")
+    _emit(rows, fields, args, tolerances=f"newton={_NEWTON_TOL:g}")
     return EXIT_OK
 
 
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
     p.add_argument("--mode", choices=("reduced", "exact_constraints"), default="reduced")
-    p.add_argument("--er-tol", type=float, default=1e-9, dest="er_tol",
+    p.add_argument("--er-tol", type=float, default=_ER_TOL, dest="er_tol",
                    help="treat |t2 - t1^3| below this as the unperturbed point")
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--out")

@@ -76,9 +76,11 @@ __all__ = [
 COUNT_CAPACITY = 8     # the committed cell table _dos_cells holds N_1..N_8
 WEIGHTED_CAPACITY = 7
 # Largest n the Metropolis sampler takes. _flip_pairs holds all n(n-1)/2
-# pairs as two tuples: building them peaks at about 144 bytes per pair
-# (275 MiB at n = 2000, measured), and the cached tuples keep about 16.
+# pairs as two tuples of shared vertex ints, 16 bytes per pair (about
+# 31 MiB at n = 2000, measured), and builds them with no larger peak.
 MCMC_CAPACITY = 2000
+# max-norm residual of the canonical means at which calibrate_exact stops
+_NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ class DenseGraph:
     def from_mask(cls, n: int, mask: int) -> "DenseGraph":
         """Graph from an edge-subset index over the pairs of K_n (i<j order)."""
         rows = [0] * n
-        for b, (i, j) in enumerate(_pairs(n)):
+        for b, (i, j) in enumerate(combinations(range(n), 2)):
             if (mask >> b) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
@@ -212,10 +214,6 @@ def densities_to_counts(n: int, t1: float, t3: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _pairs(n: int):
-    return list(combinations(range(n), 2))
-
-
 @lru_cache(maxsize=COUNT_CAPACITY)
 def _dos(n: int) -> tuple:
     """Density of states N_n(e, t) as (edges, triangles, counts) over its nonzero cells.
@@ -298,7 +296,7 @@ def _means_and_jacobian(n: int, theta) -> tuple:
 
 
 def calibrate_exact(n: int, t_target, units: str = "density",
-                    tol: float = 1e-10, max_iter: int = 100) -> MultiplierPair:
+                    tol: float = _NEWTON_TOL, max_iter: int = 100) -> MultiplierPair:
     """Multipliers matching the canonical means to the target, by damped Newton.
 
     ``units`` selects the target scaling: "density" for (t1, t3), "count"
@@ -432,9 +430,16 @@ class McmcSummary:
 
 @lru_cache(maxsize=8)
 def _flip_pairs(n: int) -> tuple:
-    """(first vertices, second vertices) of the pairs of K_n, and 1 << v per vertex."""
-    pi, pj = zip(*_pairs(n))
-    return pi, pj, tuple(1 << v for v in range(n))
+    """(first vertices, second vertices) of the pairs of K_n, and 1 << v per vertex.
+
+    The pairs run in ``combinations(range(n), 2)`` order. Both tuples hold
+    references into one pool of vertex ints and are filled from generators,
+    so no per-pair tuple is ever built.
+    """
+    pool = tuple(range(n))
+    pi = tuple(i for i in pool for _ in pool[i + 1:])
+    pj = tuple(j for i in pool for j in pool[i + 1:])
+    return pi, pj, tuple(1 << v for v in pool)
 
 
 def _accept_table(n: int, th1: float, th2: float, d1: int) -> list:

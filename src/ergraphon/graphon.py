@@ -151,6 +151,15 @@ def entropy_functional(h: StepGraphon) -> float:
     return float(m @ _entropy_vec(h.values) @ m)
 
 
+def _admissible(t1: float, t2: float) -> bool:
+    """The upper-boundary test t2 <= t1^(3/2), with 1e-12 slack for rounding.
+
+    The one definition of the admissible region's upper edge; the lower
+    (scallopy) boundary is not computed anywhere in the package.
+    """
+    return t2 <= t1 ** 1.5 + _ADMISSIBLE_TOL
+
+
 @dataclass(frozen=True)
 class DensityPair:
     """Edge/triangle density pair with its admissibility upper-bound check.
@@ -165,7 +174,7 @@ class DensityPair:
     def __post_init__(self):
         if not 0.0 <= self.t1 <= 1.0 or not 0.0 <= self.t2 <= 1.0:
             raise DomainError(f"densities must lie in [0, 1], got {(self.t1, self.t2)!r}")
-        if self.t2 > self.t1 ** 1.5 + _ADMISSIBLE_TOL:
+        if not _admissible(self.t1, self.t2):
             raise DomainError(
                 f"t2={self.t2!r} exceeds the admissibility bound t1^(3/2)={self.t1 ** 1.5!r}"
             )

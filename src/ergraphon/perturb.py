@@ -50,7 +50,7 @@ import numpy as np
 
 from .entropy import bernoulli_entropy, bernoulli_entropy_deriv, block_entropy_rate
 from .errors import ConvergenceError, DomainError, EpsilonTooLargeError, InfeasibleError
-from .graphon import StepGraphon, _corner_value, entropy_functional
+from .graphon import StepGraphon, _admissible, _corner_value, entropy_functional
 from .optimize import grid_refine_min, loglog_slope, nelder_mead
 
 __all__ = [
@@ -357,7 +357,7 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
         raise DomainError(f"need a finite t2 target, got {t2_target!r}")
     if not 0.0 <= er_tol < math.inf:
         raise DomainError(f"need a finite er_tol >= 0, got {er_tol!r}")
-    if not 0.0 <= t2_target <= 1.0 or t2_target > t1 ** 1.5 + 1e-12:
+    if not 0.0 <= t2_target <= 1.0 or not _admissible(t1, t2_target):
         raise InfeasibleError(
             f"target ({t1!r}, {t2_target!r}) is outside the admissible region"
         )
@@ -472,7 +472,8 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
     down from it. A fitted exponent below 1 certifies K2 = omega(eps) for
     that family, so K2 + K3 = -t1^3 eps is unattainable along it. The
     report also confirms the K2 = 0 reduced branch is attainable and that
-    its exact entropies track the case expansions.
+    its exact entropies track the case expansions; each scale's reduced
+    target is solved as given, with no ER-line tolerance.
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
@@ -497,7 +498,7 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
     attainable = True
     for s in scales:
         try:
-            rep = solve_microcanonical(t1, t1 ** 3 * (1.0 - s), mode="reduced")
+            rep = solve_microcanonical(t1, t1 ** 3 * (1.0 - s), mode="reduced", er_tol=0.0)
         except (InfeasibleError, EpsilonTooLargeError):
             attainable = False
             continue

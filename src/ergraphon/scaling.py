@@ -33,14 +33,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .entropy import (
+    _entropy_vec,
     bernoulli_entropy,
     bregman_quotient_limit,
     bregman_quotient_min,
 )
 from .errors import DomainError
-from .graphon import above_line_graphon, entropy_functional
+from .graphon import _admissible, above_line_graphon, entropy_functional
 from .optimize import golden_section_min
-from .perturb import solve_microcanonical
+from .perturb import _ER_TOL, solve_microcanonical
 
 __all__ = [
     "ConstraintPair",
@@ -54,9 +55,6 @@ __all__ = [
     "CURVE_FIELDS",
 ]
 
-DEFAULT_ER_TOL = 1e-9
-
-
 class MultiplierPair(NamedTuple):
     theta1: float
     theta2: float
@@ -66,14 +64,19 @@ class MultiplierPair(NamedTuple):
 class ConstraintPair:
     """Edge/triangle constraint target with admissibility metadata.
 
-    ``admissible`` records only the upper-boundary check t2 <= t1^(3/2);
-    the lower boundary of the admissible region is out of reach of this
-    package and is deliberately not consulted.
+    ``tol`` is the distance from the ER line t2 = t1^3 within which the
+    pair counts as on it (``on_er_line``; also the width of the
+    triangle-free segment t2 = 0 in ``region_classify``). It defaults to
+    the solver's ER tolerance and plays no part in admissibility.
+    ``admissible`` is the package's one upper-boundary check,
+    t2 <= t1^(3/2) up to rounding slack, shared with ``DensityPair`` and
+    ``solve_microcanonical``; the lower boundary of the admissible region
+    is out of reach of this package and is deliberately not consulted.
     """
 
     t1: float
     t2: float
-    tol: float = DEFAULT_ER_TOL
+    tol: float = _ER_TOL
 
     def __post_init__(self):
         if not 0.0 < self.t1 < 1.0:
@@ -83,7 +86,7 @@ class ConstraintPair:
 
     @property
     def admissible(self) -> bool:
-        return self.t2 <= self.t1 ** 1.5 + self.tol
+        return _admissible(self.t1, self.t2)
 
     @property
     def on_er_line(self) -> bool:
@@ -122,10 +125,13 @@ def specific_relative_entropy(t1: float, eps: float, side: str) -> float:
     """Numeric J(eps) - I(t1) for the perturbed constraint on the given side.
 
     side "below" solves the two-step variational problem exactly at target
-    t1^3 (1 - eps); side "above" evaluates the entropy of the explicit
-    optimizer at target t1^3 + 3 t1 eps. The O(eps^2) canonical-side
-    correction of the variational reduction is dropped. eps = 0 returns 0
-    (the unperturbed point is ensemble-equivalent).
+    t1^3 (1 - eps), with no ER-line tolerance: every eps > 0 is solved, so
+    a small eps gives its small positive increment, never a short-circuit
+    0. An eps so small that t1^3 (1 - eps) rounds to t1^3 names no target
+    off the line and raises DomainError. side "above" evaluates the entropy
+    of the explicit optimizer at target t1^3 + 3 t1 eps. The O(eps^2)
+    canonical-side correction of the variational reduction is dropped.
+    eps = 0 returns 0 (the unperturbed point is ensemble-equivalent).
     """
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
@@ -135,7 +141,12 @@ def specific_relative_entropy(t1: float, eps: float, side: str) -> float:
         return 0.0
     base = bernoulli_entropy(t1)
     if side == "below":
-        report = solve_microcanonical(t1, t1 ** 3 * (1.0 - eps), mode="reduced")
+        target = t1 ** 3 * (1.0 - eps)
+        if target == t1 ** 3:
+            raise DomainError(
+                f"eps={eps!r} is below the resolution of t1^3 (1 - eps) at t1={t1!r}"
+            )
+        report = solve_microcanonical(t1, target, mode="reduced", er_tol=0.0)
         return report.entropy - base
     return entropy_functional(above_line_graphon(t1, eps)) - base
 
@@ -159,8 +170,7 @@ def constant_graphon_sup(theta: MultiplierPair) -> tuple:
 
     us = np.linspace(0.0, 1.0, 4001)
     inner = us[1:-1]
-    ent = 0.5 * (inner * np.log(inner) + (1.0 - inner) * np.log(1.0 - inner))
-    vals = th1 * inner + th2 * inner ** 3 - ent
+    vals = th1 * inner + th2 * inner ** 3 - _entropy_vec(inner)
     i = int(np.argmax(vals))
     u_star, _, _ = golden_section_min(neg, us[i], us[i + 2], xtol=1e-13)
     # in u, I'(u) = log(u/(1-u))/2 loses about 8 digits within 1e-8 of 0 or
@@ -196,7 +206,7 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def region_classify(pair: ConstraintPair, tol: float = DEFAULT_ER_TOL) -> str:
+def region_classify(pair: ConstraintPair) -> str:
     """Equivalence verdict for a constraint pair.
 
     Verdicts: "equivalent" on the line t2 = t1^3 or on the triangle-free
@@ -205,11 +215,15 @@ def region_classify(pair: ConstraintPair, tol: float = DEFAULT_ER_TOL) -> str:
     boundary t2 = t1^(3/2); "unknown" for the remaining admissible region,
     where no verdict is available and none is extrapolated. The unknown
     region includes points below the (uncomputed) lower boundary.
+
+    "Inadmissible" is ``not pair.admissible``. "On the line" is
+    ``pair.on_er_line``, and the triangle-free segment has the same width
+    ``pair.tol``, so the pair alone decides the verdict.
     """
-    t1, t2 = pair.t1, pair.t2
-    if t2 > t1 ** 1.5 + tol:
+    t1, t2, tol = pair.t1, pair.t2, pair.tol
+    if not pair.admissible:
         return "inadmissible"
-    if abs(t2 - t1 ** 3) <= tol:
+    if pair.on_er_line:
         return "equivalent"
     if t1 <= 0.5 and t2 <= tol:
         return "equivalent"
@@ -236,6 +250,10 @@ def curve_sweep(t1_list, eps_grid, side: str) -> list:
     ``above_line_graphon``), so side "above" or "both" raises
     EpsilonTooLargeError (CLI exit code 2) near t1 = 1/2, for instance at
     eps = 1e-3 for t1 within about 0.016 of 1/2.
+
+    The inputs are checked before the first solve, each failure raising
+    DomainError: every t1 in (0, 1), with t1 != 1/2 whenever the above side
+    runs (its rate is undefined there), and every eps finite and > 0.
     """
     sides = ("below", "above") if side == "both" else (side,)
     if any(s not in ("below", "above") for s in sides):
@@ -244,6 +262,14 @@ def curve_sweep(t1_list, eps_grid, side: str) -> list:
     t1_list = list(t1_list)
     if not eps_grid or not t1_list:
         raise DomainError("t1 list and eps grid must be non-empty")
+    for t1 in t1_list:
+        if not 0.0 < t1 < 1.0:
+            raise DomainError(f"need t1 in (0, 1), got {t1!r}")
+        if t1 == 0.5 and "above" in sides:
+            raise DomainError("the above-line rate is undefined at t1 = 1/2")
+    for e in eps_grid:
+        if not 0.0 < e < math.inf:
+            raise DomainError(f"need finite eps > 0, got {e!r}")
     rows = []
     for s in sides:
         for t1 in t1_list:

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from ergraphon.cli import main
+from ergraphon.ensembles import _NEWTON_TOL
+from ergraphon.perturb import _ER_TOL, _RESIDUAL_TOL
 
 RUN = lambda *argv: main(list(argv))
 
@@ -97,6 +99,27 @@ class TestCurveCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_small_eps_rows_are_solved(self, capsys):
+        # t1^3 eps <= 2.7e-8: at or below the solver's default ER tolerance
+        code, out, _ = run_capture(capsys, "curve", "--t1", "0.3",
+                                   "--eps", "1e-9,1e-8,1e-7", "--side", "below")
+        assert code == 0
+        lines = out.splitlines()
+        header, rows = lines[0].split(","), lines[1:-1]
+        assert len(rows) == 3
+        for line in rows:
+            rec = dict(zip(header, line.split(",")))
+            assert float(rec["numeric"]) != 0.0
+            assert math.isfinite(float(rec["exponent"]))
+        assert lines[-1].endswith(f" tolerances=residual={_RESIDUAL_TOL:g}")
+
+    def test_eps_below_resolution_exit_2(self, capsys):
+        code, out, err = run_capture(capsys, "curve", "--t1", "0.3", "--eps", "1e-17",
+                                     "--side", "below")
+        assert code == 2
+        assert out == ""
+        assert "resolution" in err
 
     def test_above_at_half_exit_2(self, capsys):
         code, _, _ = run_capture(capsys, "curve", "--t1", "0.5", "--side", "above")
@@ -196,6 +219,14 @@ class TestSolveCommand:
         assert rec["case"] == "I"
         assert rec["lam"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_trailer_formats_the_solver_constants(self, capsys):
+        code, out, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", "0.02",
+                                   "--format", "csv")
+        assert code == 0
+        tolerances = out.splitlines()[-1].split(" tolerances=")[1]
+        assert tolerances == f"residual={_RESIDUAL_TOL:g} er_tol={_ER_TOL:g}"
+        assert tolerances == "residual=1e-10 er_tol=1e-09"
+
 
 class TestExactCommand:
     def test_omega_row(self, capsys):
@@ -210,6 +241,15 @@ class TestExactCommand:
             capsys, "exact", "--n", "9", "--edges", "3", "--triangles", "0"
         )
         assert code == 5
+
+    def test_trailer_formats_the_newton_constant(self, capsys):
+        code, out, _ = run_capture(
+            capsys, "exact", "--n", "4", "--edges", "3", "--triangles", "0"
+        )
+        assert code == 0
+        tolerances = out.splitlines()[-1].split(" tolerances=")[1]
+        assert tolerances == f"newton={_NEWTON_TOL:g}"
+        assert tolerances == "newton=1e-10"
 
     def test_full_ensemble_row(self, capsys):
         code, out, _ = run_capture(

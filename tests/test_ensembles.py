@@ -3,6 +3,8 @@ sampler against closed forms and the exact enumeration."""
 
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -422,6 +424,17 @@ class TestMcmc:
         with pytest.raises(CapacityError):
             mcmc_calibrate(MCMC_CAPACITY + 1, (0.5, 0.125), seed=1)
         assert _flip_pairs.cache_info().misses == built
+
+    def test_pair_table_peak_memory(self):
+        # fresh process, so no cached table and no earlier peak hides the build
+        code = ("import resource; from ergraphon.ensembles import _flip_pairs; "
+                "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+                "_flip_pairs(1000); "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r0)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        growth_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert growth_mib < 20.0
 
     def test_determinism(self):
         a = mcmc_sample(12, (0.2, -0.1), 20000, seed=9)

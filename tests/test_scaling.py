@@ -9,7 +9,9 @@ import pytest
 
 from ergraphon import (
     ConstraintPair,
+    DensityPair,
     DomainError,
+    InfeasibleError,
     MultiplierPair,
     above_line_coefficient,
     below_line_coefficient,
@@ -19,6 +21,7 @@ from ergraphon import (
     constant_graphon_sup,
     curve_sweep,
     region_classify,
+    solve_microcanonical,
     specific_relative_entropy,
 )
 from ergraphon.optimize import loglog_slope
@@ -99,6 +102,27 @@ class TestSpecificRelativeEntropy:
     def test_bad_side(self):
         with pytest.raises(DomainError):
             specific_relative_entropy(0.3, 1e-4, "sideways")
+
+    def test_small_eps_below_matches_mpmath(self):
+        # t1^3 eps = 2.7e-11 lies inside the solver's default ER tolerance;
+        # the increment must still be solved, not read as 0. For t1 <= 1/2
+        # the reduced family's optimum is the symmetric split lam = 1/2
+        t1, eps = 0.3, 1e-9
+        with mpmath.workdps(60):
+            t, u = mpmath.mpf(t1), mpmath.mpf(t1) * mpmath.cbrt(mpmath.mpf(eps))
+
+            def ent(x):
+                return (x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / 2
+
+            # diagonal blocks t1 - u, off-diagonal t1 + u, each of total measure 1/2
+            want = (ent(t - u) + ent(t + u)) / 2 - ent(t)
+        got = specific_relative_entropy(t1, eps, "below")
+        assert abs(got - float(want)) <= 1e-6 * float(want)
+
+    def test_eps_below_resolution_rejected(self):
+        # 0.3^3 (1 - 1e-17) rounds to 0.3^3: no target off the line is left
+        with pytest.raises(DomainError, match="resolution"):
+            specific_relative_entropy(0.3, 1e-17, "below")
 
 
 class TestConstantGraphonSup:
@@ -186,6 +210,26 @@ class TestRegionClassify:
         assert pair.admissible
         assert not ConstraintPair(0.6, 0.2161).on_er_line
 
+    def test_verdict_reads_the_pair_tolerance(self):
+        pair = ConstraintPair(0.6, 0.216 + 1e-4, tol=1e-3)
+        assert pair.on_er_line
+        assert region_classify(pair) == "equivalent"
+
+
+class TestAdmissibleRegionOneOwner:
+    def test_sliver_above_the_bound_is_inadmissible_everywhere(self):
+        # 5e-10 above t1^(3/2): outside the 1e-12 rounding slack, inside
+        # the ER-line tolerance that once doubled as admissibility slack
+        t1 = 0.49
+        t2 = t1**1.5 + 5e-10
+        pair = ConstraintPair(t1, t2)
+        assert not pair.admissible
+        assert region_classify(pair) == "inadmissible"
+        with pytest.raises(DomainError, match="admissibility bound"):
+            DensityPair(t1, t2)
+        with pytest.raises(InfeasibleError, match="admissible region"):
+            solve_microcanonical(t1, t2)
+
 
 class TestCurveSweep:
     def test_below_exponents_and_errors(self):
@@ -235,3 +279,13 @@ class TestCurveSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             curve_sweep([], [1e-4], "below")
+
+    @pytest.mark.parametrize("t1_list, eps_grid, side", [
+        ([0.3], [0.0, 1e-3], "below"),
+        # t1 = 1/2 is rejected before the below sweep reaches t1 = 0.99
+        ([0.5, 0.99], [0.1], "both"),
+    ])
+    def test_inputs_checked_before_any_solve(self, t1_list, eps_grid, side):
+        with pytest.raises(DomainError) as info:
+            curve_sweep(t1_list, eps_grid, side)
+        assert type(info.value) is DomainError
