@@ -16,14 +16,22 @@ them silently.
 Exact operations work on the density of states N_n(e, t), the number of
 labelled graphs on n vertices with e edges and t triangles (228 nonzero
 cells at n = 8). Every exact quantity depends on a graph only through
-(e, t): Omega is one cell; psi_n is a log-count-weighted log-sum-exp over
-the cells, finite at |n^2 theta . T| in the hundreds; the canonical means
-and the scaled density covariance, which is the (positive-definite)
-Jacobian of the damped Newton multiplier calibration, are weighted moments
-over them. N_1..N_8 are 424 integer cells in all, committed as the
-generated table ``_dos_cells`` and imported on first use; nothing is
-enumerated at run time. The tests rebuild the table by per-mask enumeration
-and compare it byte for byte. Counting runs to n = 8, weighted sums to n = 7.
+(e, t): Omega is one cell, and the canonical ensemble is a law on the
+cells. Per n, two row blocks are cached: the exponent rows (2e, (6/n)t,
+log N) and the moment rows (1, t1, t3, t1^2, t1 t3, t3^2). One canonical
+evaluation is one log-sum-exp of the exponent rows against
+(theta1, theta2, 1), finite at |n^2 theta . T| in the hundreds, and one
+matvec of the moment rows with its weights: psi_n, the means and the
+scaled density covariance come out together. The covariance is the
+(positive-definite) Jacobian of the damped Newton multiplier calibration,
+which takes its 2x2 step in closed form and its moments about the target,
+so the residual is a first moment and the covariance suffers no
+cancellation near convergence. The means fill exactly the open convex hull
+of the cells; a target on or outside it is rejected before any step.
+N_1..N_8 are 424 integer cells in all, committed as the generated table
+``_dos_cells`` and imported on first use; nothing is enumerated at run
+time. The tests rebuild the table by per-mask enumeration and compare it
+byte for byte. Counting runs to n = 8, weighted sums to n = 7.
 
 The canonical weight is constant on a constraint class, so the relative
 entropy of the microcanonical with respect to the canonical ensemble is
@@ -266,33 +274,81 @@ def _require_weighted(n: int) -> None:
         )
 
 
-def _canonical_cells(n: int, theta) -> tuple:
-    """(cell probabilities, cell t1, cell t3, log Z_n) over the cells of N_n."""
+@lru_cache(maxsize=WEIGHTED_CAPACITY)
+def _cell_rows(n: int) -> tuple:
+    """(exponent rows, moment rows) over the cells of N_n, 1 <= n <= WEIGHTED_CAPACITY.
+
+    The exponent rows (2 e, (6/n) t, log N) give each cell's log-weight
+    n^2 theta . T + log N as one matvec with (theta1, theta2, 1); the
+    moment rows are (1, t1, t3, t1^2, t1 t3, t3^2) in density coordinates.
+    """
     edges, tris, counts = _dos(n)
-    th1, th2 = float(theta[0]), float(theta[1])
-    h = 2.0 * th1 * edges + (6.0 / n) * th2 * tris + np.log(counts)
+    expo = np.stack([2.0 * edges, (6.0 / n) * tris, np.log(counts)], axis=1)
+    return expo, _moment_rows(2.0 * edges / n ** 2, 6.0 * tris / n ** 3)
+
+
+def _moment_rows(x1: np.ndarray, x3: np.ndarray) -> np.ndarray:
+    return np.array((np.ones_like(x1), x1, x3, x1 * x1, x1 * x3, x3 * x3))
+
+
+@lru_cache(maxsize=WEIGHTED_CAPACITY)
+def _hull(n: int) -> tuple:
+    """Counter-clockwise vertices of the convex hull of N_n's cells, in (e, t).
+
+    Andrew's monotone chain on the integer cells; a cell inside a hull edge
+    is not a vertex. Fewer than three vertices means the hull is flat.
+    """
+    edges, tris, _ = _dos(n)
+    cells = sorted(zip(edges.tolist(), tris.tolist()))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return tuple(chain(cells) + chain(cells[::-1]))
+
+
+def _turn(a, b, p):
+    """Twice the signed area of (a, b, p): > 0 when p lies left of a -> b."""
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+
+def _inside_hull(n: int, counts) -> bool:
+    """Whether the (edges, triangles) pair lies strictly inside N_n's hull.
+
+    Exact for integer counts: the cross products are integers below 2^53.
+    """
+    hull = _hull(n)
+    return len(hull) > 2 and all(_turn(a, b, counts) > 0
+                                 for a, b in zip(hull, hull[1:] + hull[:1]))
+
+
+def _canonical_moments(n: int, theta, rows=None) -> tuple:
+    """(log Z_n, (E x1, E x3), n^2 (Var x1, Cov(x1, x3), Var x3)) at theta.
+
+    One log-sum-exp over the cells and one matvec with the moment rows,
+    ``rows`` if given (``_moment_rows`` of the cell densities about a
+    centre, so x = t - centre) and the raw rows of ``_cell_rows`` otherwise.
+    """
+    expo, raw = _cell_rows(n)
+    h = expo @ np.array((theta[0], theta[1], 1.0))
     hmax = float(h.max())
-    w = np.exp(h - hmax)
-    total = float(w.sum())
-    return w / total, 2.0 * edges / n ** 2, 6.0 * tris / n ** 3, hmax + math.log(total)
+    s0, s1, s3, s11, s13, s33 = ((raw if rows is None else rows) @ np.exp(h - hmax)).tolist()
+    m1, m3 = s1 / s0, s3 / s0
+    nn = n * n
+    cov = (nn * (s11 / s0 - m1 * m1), nn * (s13 / s0 - m1 * m3), nn * (s33 / s0 - m3 * m3))
+    return hmax + math.log(s0), (m1, m3), cov
 
 
 def partition_exact(n: int, theta) -> tuple:
     """(psi_n, (mean edge density, mean triangle density)), exact over N_n."""
     _require_weighted(n)
-    p, t1, t3, logz = _canonical_cells(n, _finite_pair("theta", theta))
-    return logz / n ** 2, (float(p @ t1), float(p @ t3))
-
-
-def _means_and_jacobian(n: int, theta) -> tuple:
-    p, t1, t3, _ = _canonical_cells(n, theta)
-    m1, m3 = float(p @ t1), float(p @ t3)
-    d1, d3 = t1 - m1, t3 - m3
-    cov = np.array([
-        [float(p @ (d1 * d1)), float(p @ (d1 * d3))],
-        [float(p @ (d1 * d3)), float(p @ (d3 * d3))],
-    ])
-    return np.array([m1, m3]), n ** 2 * cov
+    logz, means, _ = _canonical_moments(n, _finite_pair("theta", theta))
+    return logz / n ** 2, means
 
 
 def calibrate_exact(n: int, t_target, units: str = "density",
@@ -301,61 +357,65 @@ def calibrate_exact(n: int, t_target, units: str = "density",
 
     ``units`` selects the target scaling: "density" for (t1, t3), "count"
     for raw (edges, triangles). The Jacobian of the moment map is the scaled
-    density covariance (positive definite for interior targets); the step is
-    halved until the residual norm decreases. Non-interior targets make the
-    multipliers run away, which is detected and reported as divergence.
+    density covariance (positive definite for interior targets); the 2x2
+    step is taken in closed form and halved until the residual norm
+    decreases. Moments are taken about the target, so the residual is a
+    first moment and the covariance suffers no cancellation near
+    convergence. The canonical means fill exactly the open convex hull of
+    N_n's cells, so a target on or outside it has no multipliers and raises
+    ConvergenceError before the first step; one close inside it can still
+    run the multipliers away, which is detected and reported as divergence.
     """
     _require_weighted(n)
     target = _finite_pair("target", t_target)
     if units == "count":
-        target = np.array(counts_to_densities(n, *target))
+        counts, target = target, counts_to_densities(n, *target)
     elif units == "density":
-        target = np.array(target)
+        counts = densities_to_counts(n, *target)
     else:
         raise DomainError(f"units must be 'density' or 'count', got {units!r}")
 
-    # canonical means are strictly interior: every graph has positive weight,
-    # so extreme targets force the multipliers to run away
-    t1_max, t3_max = counts_to_densities(n, n * (n - 1) // 2, math.comb(n, 3))
-    if not 0.0 < target[0] < t1_max or not 0.0 < target[1] < t3_max:
+    # every graph has positive weight, so the means fill the open hull
+    if not _inside_hull(n, counts):
         raise ConvergenceError(
             "target on the boundary of the mean region; multipliers diverge",
-            {"target": target.tolist(), "bounds": [(0.0, t1_max), (0.0, t3_max)]},
+            {"target": list(target),
+             "bounds": [counts_to_densities(n, *v) for v in _hull(n)]},
         )
 
+    raw = _cell_rows(n)[1]
+    rows = _moment_rows(raw[1] - target[0], raw[2] - target[1])
     p0 = min(max(target[0] * n / (n - 1) if n > 1 else target[0], 1e-3), 1.0 - 1e-3)
-    theta = np.array([0.5 * math.log(p0 / (1.0 - p0)), 0.0])
-    means, jac = _means_and_jacobian(n, theta)
-    resid = means - target
-    for it in range(max_iter):
-        if float(np.max(np.abs(resid))) < tol:
-            return MultiplierPair(float(theta[0]), float(theta[1]))
-        try:
-            step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular moment-map Jacobian",
-                                   {"theta": theta.tolist()}) from exc
+    th1, th2 = 0.5 * math.log(p0 / (1.0 - p0)), 0.0
+    _, (r1, r3), (a, b, c) = _canonical_moments(n, (th1, th2), rows)
+    for _ in range(max_iter):
+        if max(abs(r1), abs(r3)) < tol:
+            return MultiplierPair(th1, th2)
+        det = a * c - b * b
+        if det == 0.0 or not math.isfinite(det):
+            raise ConvergenceError("singular moment-map Jacobian", {"theta": [th1, th2]})
+        step1, step3 = (c * r1 - b * r3) / det, (a * r3 - b * r1) / det
+        norm = math.hypot(r1, r3)
         scale = 1.0
         for _ in range(60):
-            cand = theta - scale * step
-            means2, jac2 = _means_and_jacobian(n, cand)
-            resid2 = means2 - target
-            if np.linalg.norm(resid2) < np.linalg.norm(resid):
+            cand1, cand2 = th1 - scale * step1, th2 - scale * step3
+            _, (q1, q3), jac = _canonical_moments(n, (cand1, cand2), rows)
+            if math.hypot(q1, q3) < norm:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError(
                 "Newton stalled; target likely on the boundary of the mean region",
-                {"theta": theta.tolist(), "residual": resid.tolist()},
+                {"theta": [th1, th2], "residual": [r1, r3]},
             )
-        theta, means, jac, resid = cand, means2, jac2, resid2
-        if float(np.max(np.abs(theta))) > 60.0:
+        th1, th2, r1, r3, (a, b, c) = cand1, cand2, q1, q3, jac
+        if max(abs(th1), abs(th2)) > 60.0:
             raise ConvergenceError(
                 "multipliers diverging; target not interior to the mean region",
-                {"theta": theta.tolist(), "residual": resid.tolist()},
+                {"theta": [th1, th2], "residual": [r1, r3]},
             )
     raise ConvergenceError("Newton did not converge",
-                           {"theta": theta.tolist(), "residual": resid.tolist()})
+                           {"theta": [th1, th2], "residual": [r1, r3]})
 
 
 @dataclass(frozen=True)
@@ -373,14 +433,15 @@ def relative_entropy_exact(n: int, c_star) -> EnsembleSolution:
     The hard constraint is an exact count pair (edges, triangles). The
     canonical weight is constant on the constraint class, so the class sum
     of p_mic log(p_mic / w) reduces to S_n = -log Omega - log w(e*, t*).
+    A class on the convex hull of N_n's cells has no calibrated canonical
+    ensemble and raises ConvergenceError.
     """
     _require_weighted(n)
     e_star, t_star = _count_pair(c_star)
     omega = _class_size(n, e_star, t_star)
     if omega == 0:
         raise DomainError(f"constraint ({e_star}, {t_star}) is not graphical for n={n}")
-    target = counts_to_densities(n, e_star, t_star)
-    theta = calibrate_exact(n, target, units="density")
+    theta = calibrate_exact(n, (e_star, t_star), units="count")
     psi, means = partition_exact(n, theta)
     # log w = n^2 theta . T(G) - log Z_n = 2 th1 C1 + (6/n) th2 C3 - n^2 psi_n
     log_w = 2.0 * theta.theta1 * e_star + (6.0 / n) * theta.theta2 * t_star - n ** 2 * psi

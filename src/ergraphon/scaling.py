@@ -127,11 +127,12 @@ def specific_relative_entropy(t1: float, eps: float, side: str) -> float:
     side "below" solves the two-step variational problem exactly at target
     t1^3 (1 - eps), with no ER-line tolerance: every eps > 0 is solved, so
     a small eps gives its small positive increment, never a short-circuit
-    0. An eps so small that t1^3 (1 - eps) rounds to t1^3 names no target
-    off the line and raises DomainError. side "above" evaluates the entropy
-    of the explicit optimizer at target t1^3 + 3 t1 eps. The O(eps^2)
-    canonical-side correction of the variational reduction is dropped.
-    eps = 0 returns 0 (the unperturbed point is ensemble-equivalent).
+    0. side "above" evaluates the entropy of the explicit optimizer at
+    target t1^3 + 3 t1 eps. The O(eps^2) canonical-side correction of the
+    variational reduction is dropped. An eps so small that the side's
+    target rounds to t1^3 names no target off the line and raises
+    DomainError. eps = 0 returns 0 (the unperturbed point is
+    ensemble-equivalent).
     """
     if side not in ("above", "below"):
         raise DomainError(f"side must be 'above' or 'below', got {side!r}")
@@ -148,6 +149,10 @@ def specific_relative_entropy(t1: float, eps: float, side: str) -> float:
             )
         report = solve_microcanonical(t1, target, mode="reduced", er_tol=0.0)
         return report.entropy - base
+    if t1 ** 3 + 3.0 * t1 * eps == t1 ** 3:
+        raise DomainError(
+            f"eps={eps!r} is below the resolution of t1^3 + 3 t1 eps at t1={t1!r}"
+        )
     return entropy_functional(above_line_graphon(t1, eps)) - base
 
 
@@ -253,7 +258,8 @@ def curve_sweep(t1_list, eps_grid, side: str) -> list:
 
     The inputs are checked before the first solve, each failure raising
     DomainError: every t1 in (0, 1), with t1 != 1/2 whenever the above side
-    runs (its rate is undefined there), and every eps finite and > 0.
+    runs (its rate is undefined there), and every eps finite, > 0 and
+    distinct (a repeated eps leaves no log-log slope between the two).
     """
     sides = ("below", "above") if side == "both" else (side,)
     if any(s not in ("below", "above") for s in sides):
@@ -270,6 +276,9 @@ def curve_sweep(t1_list, eps_grid, side: str) -> list:
     for e in eps_grid:
         if not 0.0 < e < math.inf:
             raise DomainError(f"need finite eps > 0, got {e!r}")
+    for a, b in zip(eps_grid, eps_grid[1:]):
+        if a == b:
+            raise DomainError(f"eps values must be distinct, got {a!r} twice")
     rows = []
     for s in sides:
         for t1 in t1_list:

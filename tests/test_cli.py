@@ -121,6 +121,20 @@ class TestCurveCommand:
         assert out == ""
         assert "resolution" in err
 
+    def test_eps_above_resolution_exit_2(self, capsys):
+        code, out, err = run_capture(capsys, "curve", "--t1", "0.7", "--eps", "1e-17,1e-16",
+                                     "--side", "above")
+        assert code == 2
+        assert out == ""
+        assert "resolution" in err
+
+    def test_repeated_eps_exit_2(self, capsys):
+        code, out, err = run_capture(capsys, "curve", "--t1", "0.6", "--eps", "1e-4,1e-4",
+                                     "--side", "below")
+        assert code == 2
+        assert out == ""
+        assert "distinct" in err
+
     def test_above_at_half_exit_2(self, capsys):
         code, _, _ = run_capture(capsys, "curve", "--t1", "0.5", "--side", "above")
         assert code == 2

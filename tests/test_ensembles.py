@@ -65,6 +65,38 @@ def per_mask_class_sum(n, c_star, theta):
     return omega, float(np.sum(p_mic * (math.log(p_mic) - logw[sel])))
 
 
+def strictly_inside_hull(points) -> set:
+    """The integer points of ``points`` strictly inside their convex hull.
+
+    Andrew's monotone chain with exact integer cross products; points on a
+    hull edge or vertex are excluded.
+    """
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(pts[::-1])  # counter-clockwise vertices
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    return {p for p in pts if all(cross(a, b, p) > 0 for a, b in edges)}
+
+
+def per_mask_means(n, theta) -> tuple:
+    """Canonical (mean t1, mean t3) as sums over every mask on n vertices."""
+    edges_tab, tris_tab = enum_tables(n)
+    logw, _ = log_weights(n, theta)
+    w = np.exp(logw)
+    return float(w @ (2.0 * edges_tab / n**2)), float(w @ (6.0 * tris_tab / n**3))
+
+
 class ScriptedRng:
     """Stands in for random.Random: ``getrandbits`` returns ``bits`` in turn,
     ``random`` returns ``u`` (None: the kernel must not draw a uniform)."""
@@ -303,6 +335,16 @@ class TestCalibrateExact:
         with pytest.raises(ConvergenceError):
             calibrate_exact(4, counts_to_densities(4, 3, 0))  # zero triangles: boundary
 
+    @pytest.mark.parametrize("units", ["count", "density"])
+    def test_hull_edge_target_rejected(self, units):
+        # (5, 2) is the midpoint of the hull edge (4, 0)-(6, 4) of N_4: no
+        # multipliers match it, yet Newton alone gets the residual under
+        # 1e-10 at |theta| ~ 22
+        target = (5, 2) if units == "count" else counts_to_densities(4, 5, 2)
+        with pytest.raises(ConvergenceError, match="boundary") as info:
+            calibrate_exact(4, target, units=units)
+        assert set(info.value.diagnostics) == {"target", "bounds"}
+
     def test_residual_tolerance(self):
         rng = random.Random(4)
         for n in (5, 6):
@@ -411,6 +453,38 @@ class TestRelativeEntropyExact:
             # are orthogonal to 1, so the derivative reduces to -d . log P
             deriv = -float(d @ logw)
             assert abs(deriv) < 1e-8
+
+
+class TestExactAgainstPerMaskOracle:
+    """Every class of N_3..N_7, the cells built by the oracle's vertex adder."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_calibrates_exactly_the_hull_interior(self, n):
+        # the canonical means fill the open convex hull of the cells: a class
+        # is matched iff it lies strictly inside, and the rest diverge
+        edges, tris, _ = dos_by_vertex(n)
+        classes = list(zip(edges.tolist(), tris.tolist()))
+        inside = strictly_inside_hull(classes)
+        assert len(inside) < len(classes)
+        for c_star in classes:
+            if c_star not in inside:
+                with pytest.raises(ConvergenceError):
+                    relative_entropy_exact(n, c_star)
+                continue
+            sol = relative_entropy_exact(n, c_star)
+            if n <= 6:
+                target = counts_to_densities(n, *c_star)
+                means = per_mask_means(n, sol.theta)
+                assert max(abs(m - x) for m, x in zip(means, target)) <= 1e-10, c_star
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("theta", [(0.0, 0.0), (0.4, -1.3), (-1.1, 2.7), (6.0, -15.0)])
+    def test_partition_matches_per_mask_sums(self, n, theta):
+        psi, means = partition_exact(n, theta)
+        _, want_psi = log_weights(n, theta)
+        want_means = per_mask_means(n, theta)
+        assert abs(psi - want_psi) <= 1e-12 * max(1.0, abs(want_psi))
+        assert max(abs(m - x) for m, x in zip(means, want_means)) <= 1e-12
 
 
 class TestMcmc:

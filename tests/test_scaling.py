@@ -124,6 +124,11 @@ class TestSpecificRelativeEntropy:
         with pytest.raises(DomainError, match="resolution"):
             specific_relative_entropy(0.3, 1e-17, "below")
 
+    def test_eps_above_resolution_rejected(self):
+        # 0.7^3 + 3 (0.7) 1e-17 rounds to 0.7^3: the increment would be 0
+        with pytest.raises(DomainError, match="resolution"):
+            specific_relative_entropy(0.7, 1e-17, "above")
+
 
 class TestConstantGraphonSup:
     def test_er_calibration_fixed_point(self):
@@ -284,6 +289,8 @@ class TestCurveSweep:
         ([0.3], [0.0, 1e-3], "below"),
         # t1 = 1/2 is rejected before the below sweep reaches t1 = 0.99
         ([0.5, 0.99], [0.1], "both"),
+        # a repeated eps leaves no log-log slope between its two rows
+        ([0.6], [1e-4, 1e-4], "below"),
     ])
     def test_inputs_checked_before_any_solve(self, t1_list, eps_grid, side):
         with pytest.raises(DomainError) as info:
