@@ -26,8 +26,11 @@ scaled density covariance come out together. The covariance is the
 (positive-definite) Jacobian of the damped Newton multiplier calibration,
 which takes its 2x2 step in closed form and its moments about the target,
 so the residual is a first moment and the covariance suffers no
-cancellation near convergence. The means fill exactly the open convex hull
-of the cells; a target on or outside it is rejected before any step.
+cancellation near convergence. One Newton run yields theta, psi_n and the
+means together: the relative entropy reads all three from its last
+evaluation and evaluates the ensemble no further. The means fill exactly
+the open convex hull of the cells; a target on or outside it is rejected
+before any step.
 N_1..N_8 are 424 integer cells in all, committed as the generated table
 ``_dos_cells`` and imported on first use; nothing is enumerated at run
 time. The tests rebuild the table by per-mask enumeration and compare it
@@ -59,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .entropy import bernoulli_entropy_deriv
 from .errors import CapacityError, ConvergenceError, DomainError
 from .scaling import MultiplierPair
 
@@ -284,7 +288,7 @@ def _cell_rows(n: int) -> tuple:
     """
     edges, tris, counts = _dos(n)
     expo = np.stack([2.0 * edges, (6.0 / n) * tris, np.log(counts)], axis=1)
-    return expo, _moment_rows(2.0 * edges / n ** 2, 6.0 * tris / n ** 3)
+    return expo, _moment_rows(*counts_to_densities(n, edges, tris))
 
 
 def _moment_rows(x1: np.ndarray, x3: np.ndarray) -> np.ndarray:
@@ -366,6 +370,12 @@ def calibrate_exact(n: int, t_target, units: str = "density",
     ConvergenceError before the first step; one close inside it can still
     run the multipliers away, which is detected and reported as divergence.
     """
+    return _calibrate(n, t_target, units, tol, max_iter)[0]
+
+
+def _calibrate(n: int, t_target, units: str = "density",
+               tol: float = _NEWTON_TOL, max_iter: int = 100) -> tuple:
+    """(theta, log Z_n, means) of ``calibrate_exact``, from its last Newton evaluation."""
     _require_weighted(n)
     target = _finite_pair("target", t_target)
     if units == "count":
@@ -386,11 +396,11 @@ def calibrate_exact(n: int, t_target, units: str = "density",
     raw = _cell_rows(n)[1]
     rows = _moment_rows(raw[1] - target[0], raw[2] - target[1])
     p0 = min(max(target[0] * n / (n - 1) if n > 1 else target[0], 1e-3), 1.0 - 1e-3)
-    th1, th2 = 0.5 * math.log(p0 / (1.0 - p0)), 0.0
-    _, (r1, r3), (a, b, c) = _canonical_moments(n, (th1, th2), rows)
+    th1, th2 = bernoulli_entropy_deriv(p0, 1), 0.0
+    logz, (r1, r3), (a, b, c) = _canonical_moments(n, (th1, th2), rows)
     for _ in range(max_iter):
         if max(abs(r1), abs(r3)) < tol:
-            return MultiplierPair(th1, th2)
+            return MultiplierPair(th1, th2), logz, (target[0] + r1, target[1] + r3)
         det = a * c - b * b
         if det == 0.0 or not math.isfinite(det):
             raise ConvergenceError("singular moment-map Jacobian", {"theta": [th1, th2]})
@@ -399,7 +409,7 @@ def calibrate_exact(n: int, t_target, units: str = "density",
         scale = 1.0
         for _ in range(60):
             cand1, cand2 = th1 - scale * step1, th2 - scale * step3
-            _, (q1, q3), jac = _canonical_moments(n, (cand1, cand2), rows)
+            logz_c, (q1, q3), jac = _canonical_moments(n, (cand1, cand2), rows)
             if math.hypot(q1, q3) < norm:
                 break
             scale *= 0.5
@@ -408,7 +418,7 @@ def calibrate_exact(n: int, t_target, units: str = "density",
                 "Newton stalled; target likely on the boundary of the mean region",
                 {"theta": [th1, th2], "residual": [r1, r3]},
             )
-        th1, th2, r1, r3, (a, b, c) = cand1, cand2, q1, q3, jac
+        th1, th2, logz, r1, r3, (a, b, c) = cand1, cand2, logz_c, q1, q3, jac
         if max(abs(th1), abs(th2)) > 60.0:
             raise ConvergenceError(
                 "multipliers diverging; target not interior to the mean region",
@@ -433,16 +443,18 @@ def relative_entropy_exact(n: int, c_star) -> EnsembleSolution:
     The hard constraint is an exact count pair (edges, triangles). The
     canonical weight is constant on the constraint class, so the class sum
     of p_mic log(p_mic / w) reduces to S_n = -log Omega - log w(e*, t*).
-    A class on the convex hull of N_n's cells has no calibrated canonical
-    ensemble and raises ConvergenceError.
+    One Newton run yields theta, psi_n = log Z_n / n^2 and the means: they
+    are read from the calibration's last canonical evaluation. A class on
+    the convex hull of N_n's cells has no calibrated canonical ensemble and
+    raises ConvergenceError.
     """
     _require_weighted(n)
     e_star, t_star = _count_pair(c_star)
     omega = _class_size(n, e_star, t_star)
     if omega == 0:
         raise DomainError(f"constraint ({e_star}, {t_star}) is not graphical for n={n}")
-    theta = calibrate_exact(n, (e_star, t_star), units="count")
-    psi, means = partition_exact(n, theta)
+    theta, logz, means = _calibrate(n, (e_star, t_star), units="count")
+    psi = logz / n ** 2
     # log w = n^2 theta . T(G) - log Z_n = 2 th1 C1 + (6/n) th2 C3 - n^2 psi_n
     log_w = 2.0 * theta.theta1 * e_star + (6.0 / n) * theta.theta2 * t_star - n ** 2 * psi
     return EnsembleSolution(theta=theta, psi_n=psi, mean_t=means,
@@ -628,8 +640,7 @@ def mcmc_sample(n: int, theta, steps: int, seed: int,
 
     m1 = np.array([s1 / length for (s1, _), length in zip(sums[1:], lens)])
     m3 = np.array([s3 / length for (_, s3), length in zip(sums[1:], lens)])
-    t1_batches = 2.0 * m1 / n ** 2
-    t3_batches = 6.0 * m3 / n ** 3
+    t1_batches, t3_batches = counts_to_densities(n, m1, m3)
     frac_batches = m1 / (n * (n - 1) // 2)
     mean_t1, se_t1 = _batch_stats(t1_batches)
     mean_t3, se_t3 = _batch_stats(t3_batches)
@@ -668,8 +679,7 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
         block = max(10 * n * n, int(1.0 / (2.0 * tol * tol)))
     block = _whole("block", block, 1)
     rng = random.Random(seed)
-    p0 = min(max(target1, 1e-3), 1.0 - 1e-3)
-    th1 = 0.5 * math.log(p0 / (1.0 - p0))
+    th1 = bernoulli_entropy_deriv(min(max(target1, 1e-3), 1.0 - 1e-3), 1)
     th2 = 0.0
     rows = [0] * n
     c1, c3, _, _ = _flip_blocks(n, rows, 0, 0, th1, th2, [10 * n * n], rng)
@@ -678,7 +688,8 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
         # advance one block at the current multipliers; (mean t1, mean t3) - target
         nonlocal c1, c3
         c1, c3, [(s1, s3)], _ = _flip_blocks(n, rows, c1, c3, th1, th2, [length], rng)
-        return 2.0 * (s1 / length) / n ** 2 - target1, 6.0 * (s3 / length) / n ** 3 - target3
+        t1, t3 = counts_to_densities(n, s1 / length, s3 / length)
+        return t1 - target1, t3 - target3
 
     resid = (float("inf"), float("inf"))
     for k in range(max_rounds):

@@ -474,6 +474,12 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
     report also confirms the K2 = 0 reduced branch is attainable and that
     its exact entropies track the case expansions; each scale's reduced
     target is solved as given, with no ER-line tolerance.
+
+    Where a scale's reduced optimum falls in case II, its expansion needs
+    c = lam / scale^(1/3) >= 1. At large t1 the top scale can give c < 1
+    (at the default eps, t1 = 0.73 passes and t1 = 0.734 does not); that
+    raises DomainError, and a smaller ``eps`` moves the scan into the
+    expansion's domain.
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
@@ -503,10 +509,17 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
             attainable = False
             continue
         lam = rep.ansatz.lam
-        if lam >= 0.45:
+        if rep.case_label == "I":
             pred = case_entropy(t1, s, "I", lam)
         else:
-            pred = case_entropy(t1, s, "II", lam / s ** (1.0 / 3.0))
+            c = lam / s ** (1.0 / 3.0)
+            if c < 1.0:
+                raise DomainError(
+                    f"exclusion_scan at t1={t1!r}: the reduced optimum at scale "
+                    f"eps={s!r} has c = lam/eps^(1/3) = {c!r} < 1, outside the "
+                    "case-II expansion; use a smaller eps"
+                )
+            pred = case_entropy(t1, s, "II", c)
         worst_gap = max(worst_gap, abs(rep.entropy - pred))
     return ExclusionReport(
         t1=t1,

@@ -363,6 +363,29 @@ class TestExactConstraintsRecorded:
             assert abs(got - want) <= 1e-5
 
 
+# exact_constraints answers that need more than one kind of Nelder-Mead
+# start: (t1, side, eps, entropy). Above the line at eps = 1e-2 the optimum
+# is a dense block of measure lam > 0.1; the vanishing-block seed alone
+# stalls at -0.12956600950377076 (t1 = 0.1) and -0.1737572191422909
+# (t1 = 0.14). Below the line at t1 = 0.75 only the reduced-solve seed is
+# feasible; the fixed starts alone raise InfeasibleError.
+EXACT_STARTS = [
+    (0.1, "above", 1e-2, -0.1384830611493011),
+    (0.14, "above", 1e-2, -0.1779308638782323),
+    (0.75, "below", 1e-4, -0.27979539320519453),
+]
+
+
+class TestExactConstraintsStarts:
+    @pytest.mark.parametrize("t1, side, eps, entropy", EXACT_STARTS)
+    def test_matches_recorded(self, t1, side, eps, entropy):
+        t2 = t1**3 + 3 * t1 * eps if side == "above" else t1**3 * (1 - eps)
+        rep = solve_microcanonical(t1, t2, mode="exact_constraints")
+        assert abs(rep.entropy - entropy) <= 1e-12
+        if side == "above":
+            assert rep.ansatz.lam > 0.1
+
+
 def mp_g22_cubic(t1, lam, g11, delta):
     """(coefficients, roots, phi) of phi(g22) = K2 + K3 - delta at 60 digits.
 
@@ -466,6 +489,17 @@ class TestExclusionScan:
     def test_domain(self):
         with pytest.raises(DomainError):
             exclusion_scan(0.3, eps=0.5)
+
+    def test_case_ii_limit_names_t1_and_scale(self):
+        # at t1 = 0.74 the reduced optimum at the top scale 1e-2 has
+        # c = lam / eps^(1/3) < 1, outside the case-II expansion
+        with pytest.raises(DomainError) as info:
+            exclusion_scan(0.74)
+        msg = str(info.value)
+        assert "t1=0.74" in msg and "eps=0.01" in msg and "smaller eps" in msg
+
+    def test_smaller_eps_reaches_case_ii(self):
+        assert exclusion_scan(0.74, eps=1e-3).reduced_attainable
 
 
 @pytest.mark.parametrize("call", [
