@@ -86,7 +86,6 @@ def _config_hash(args: argparse.Namespace) -> str:
 def _emit(rows, fields, args, tolerances="") -> None:
     """Write records as CSV (with meta trailer) or a JSON array."""
     fmt = getattr(args, "format", "csv")
-    out_path = getattr(args, "out", None)
     if fmt == "json":
         text = json.dumps([{k: r[k] for k in fields} for r in rows], indent=None) + "\n"
     else:
@@ -97,8 +96,13 @@ def _emit(rows, fields, args, tolerances="") -> None:
             f"# version={__version__} config={_config_hash(args)} tolerances={tolerances}"
         )
         text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """Write text to ``--out`` when given, else to stdout."""
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -177,7 +181,7 @@ def cmd_curve(args) -> int:
 def cmd_solve(args) -> int:
     report = solve_microcanonical(args.t1, args.t2, mode=args.mode, er_tol=args.er_tol)
     if args.format == "text":
-        sys.stdout.write(report.to_text())
+        _write(report.to_text(), args)
     else:
         _emit([report.to_row()], report.ROW_FIELDS, args,
               tolerances=f"residual={_RESIDUAL_TOL:g} er_tol={args.er_tol:g}")

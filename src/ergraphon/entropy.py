@@ -24,6 +24,7 @@ All functions are pure and operate on Python floats; vectorized private
 helpers exist for the dense scans used by the minimizers.
 """
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -74,6 +75,15 @@ def bernoulli_entropy_deriv(u: float, k: int = 1) -> float:
     sign = 1.0 if k % 2 == 0 else -1.0
     fact = float(math.factorial(k - 2))
     return 0.5 * fact * (sign / u ** (k - 1) + 1.0 / (1.0 - u) ** (k - 1))
+
+
+def _logistic(x):
+    """1/(1 + e^-x) without overflow, for a real (via math.exp) or complex x."""
+    exp = cmath.exp if isinstance(x, complex) else math.exp
+    if x.real >= 0.0:
+        return 1.0 / (1.0 + exp(-x))
+    e = exp(x)
+    return e / (1.0 + e)
 
 
 def _entropy_vec(u: np.ndarray) -> np.ndarray:

@@ -23,19 +23,22 @@ cube (K2 + K3 = -t1^3 eps) admits the closed one-parameter family
 
 which satisfies K1 = K2 = 0 and K3 = -t1^3 eps *identically* (not just
 asymptotically). ``solve_microcanonical`` minimizes the exact entropy
-functional either within this reduced family (1-D search over lam) or over
-the full two-step class with both constraints enforced exactly. There K1 = 0
-fixes g12 = -(lam g11/mu + mu g22/lam)/2 with mu = 1-lam, which makes
-K2 + K3 - delta the explicit cubic c3 g22^3 + c2 g22^2 + c1 g22 + c0,
+functional E either within this reduced family (1-D search over lam) or over
+the full two-step class with both constraints enforced exactly. There a
+minimizer is a stationary point of L = E - alpha T1 - beta T2 (Kenyon,
+Radin, Ren & Sadun, J. Stat. Phys. 168 (2017)); with m = (lam, 1-lam),
+D = diag(m) and V the 2x2 block values,
 
-    c3 = mu^3 (1 + (3/4) mu/lam),
-    c2 = (3/4) mu^3 (t1/lam + g11) + (3/2) lam mu^2 g11,
-    c1 = (3/2) lam mu g11 (lam g11 - t1) + (3/4) lam^3 g11^2,
-    c0 = lam^3 g11^2 ((3/4) t1/mu + g11 + (3/4) lam g11/mu) - delta;
+    I'(V_ij) = alpha + 3 beta (V D V)_ij           for v11, v12, v22,
+    g1 = g2,  g_i = 2 sum_j m_j [I(V_ij) - alpha V_ij] - 3 beta (V D V D V)_ii,
+    T1 = t1,  T2 = t2.
 
-its real roots are the feasible g22, and the remaining 2-D landscape in
-(lam, g11) is searched by Nelder-Mead (``optimize.nelder_mead``) from four
-starts: three fixed ones and one from the reduced or vanishing-block branch.
+Damped Newton solves these six equations in z = (logit lam, logit v11,
+logit v12, logit v22, alpha, beta), where I'(v) = (logit v)/2 is exact and
+no value can leave (0, 1), with a complex-step Jacobian (Squire & Trapp,
+SIAM Rev. 40 (1998)). It starts from the vanishing-block optimizer and a
+near-symmetric split above the line, the reduced answer below it, and a
+dense block on both sides; the converged answer of lowest entropy wins.
 
 ``exclusion_scan`` probes the ansatz families for which K2 cannot vanish and
 fits how fast K2 decays with eps: whenever K2 > 0 along those families it
@@ -43,15 +46,16 @@ decays strictly slower than eps, so the constraint K2 + K3 = -t1^3 eps is
 out of reach and the reduced branch is the only surviving one.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import bernoulli_entropy, bernoulli_entropy_deriv, block_entropy_rate
+from .entropy import _logistic, bernoulli_entropy, bernoulli_entropy_deriv, block_entropy_rate
 from .errors import ConvergenceError, DomainError, EpsilonTooLargeError, InfeasibleError
 from .graphon import StepGraphon, _admissible, _corner_value, entropy_functional
-from .optimize import grid_refine_min, loglog_slope, nelder_mead
+from .optimize import grid_refine_min, loglog_slope
 
 __all__ = [
     "PerturbationAnsatz",
@@ -68,9 +72,10 @@ __all__ = [
     "exclusion_scan",
 ]
 
-_LAM_FLOOR = 1e-6
+_LAM_FLOOR = 1e-6  # lower end of the reduced solve's grid
 _RESIDUAL_TOL = 1e-10
 _ER_TOL = 1e-9
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -281,64 +286,137 @@ def _solve_reduced(t1: float, eps: float):
     return lam, ent, iters + cand.size
 
 
-def _case_label_for(lam: float) -> str:
-    return "I" if lam >= 0.45 else "II"
+def _softplus(x: complex) -> complex:
+    """log(1 + e^x) without overflow for either sign of Re x."""
+    if x.real >= 0.0:
+        return x + cmath.log(1.0 + cmath.exp(-x))
+    return cmath.log(1.0 + cmath.exp(x))
 
 
-def _g22_roots(t1: float, lam: float, g11: float, delta: float):
-    """All real g22 with K1 eliminated and K2 + K3 = delta.
+def _el_residual(t1: float, t2: float, z) -> list:
+    """Euler-Lagrange residuals at z = (logit lam, x11, x12, x22, alpha, beta).
 
-    The roots of the explicit cubic in the module docstring; a root counts
-    as real when its imaginary part is at most 1e-9.
+    x_ij = logit v_ij, so I'(v_ij) = x_ij / 2 and I(v_ij) = (v_ij x_ij -
+    softplus(x_ij)) / 2 exactly. Complex arithmetic throughout, so that a
+    complex step in z differentiates every entry.
     """
-    mu = 1.0 - lam
-    c3 = mu ** 3 * (1.0 + 0.75 * mu / lam)
-    c2 = 0.75 * mu ** 3 * (t1 / lam + g11) + 1.5 * lam * mu * mu * g11
-    c1 = 1.5 * lam * mu * g11 * (lam * g11 - t1) + 0.75 * lam ** 3 * g11 * g11
-    c0 = lam ** 3 * g11 * g11 * (0.75 * t1 / mu + g11 + 0.75 * lam * g11 / mu) - delta
-    return [float(r.real) for r in np.roots([c3, c2, c1, c0]) if abs(r.imag) <= 1e-9]
+    lam, mu = _logistic(z[0]), _logistic(-z[0])
+    x11, x12, x22, alpha, beta = z[1:]
+    v11, v12, v22 = _logistic(x11), _logistic(x12), _logistic(x22)
+    # (V D V)_ij and (V D V D V)_ii, with D = diag(lam, mu)
+    w11 = lam * v11 * v11 + mu * v12 * v12
+    w12 = lam * v11 * v12 + mu * v12 * v22
+    w22 = lam * v12 * v12 + mu * v22 * v22
+    c1 = lam * v11 * w11 + mu * v12 * w12
+    c2 = lam * v12 * w12 + mu * v22 * w22
+    e11, e12, e22 = (0.5 * (v * x - _softplus(x)) - alpha * v
+                     for v, x in ((v11, x11), (v12, x12), (v22, x22)))
+    # g_i = dL/dm_i = 2 sum_j m_j [I(V_ij) - alpha V_ij] - 3 beta (V D V D V)_ii
+    g1 = 2.0 * (lam * e11 + mu * e12) - 3.0 * beta * c1
+    g2 = 2.0 * (lam * e12 + mu * e22) - 3.0 * beta * c2
+    return [
+        0.5 * x11 - alpha - 3.0 * beta * w11,
+        0.5 * x12 - alpha - 3.0 * beta * w12,
+        0.5 * x22 - alpha - 3.0 * beta * w22,
+        g1 - g2,
+        lam * lam * v11 + 2.0 * lam * mu * v12 + mu * mu * v22 - t1,
+        lam * c1 + mu * c2 - t2,
+    ]
 
 
-def _best_feasible(t1, lam, g11, delta):
-    """Lowest-entropy feasible completion (g12, g22) for given (lam, g11).
+def _el_newton(t1: float, t2: float, z: np.ndarray):
+    """Damped Newton on the Euler-Lagrange residuals from z.
 
-    Returns (entropy, ansatz), or None when no real root keeps every block
-    value in [0, 1]. Needs lam in (0, 1).
+    Each step is halved until the max-norm residual falls; the iteration
+    ends when a full step no longer lowers it. Returns (z, or None when the
+    residual is then above 1e-14 (1 + max|x_ij| + |alpha| + 3|beta|) or
+    after 60 steps, the number of residual evaluations).
     """
-    best_ent, best = math.inf, None
-    for g22 in _g22_roots(t1, lam, g11, delta):
-        g12 = g12_eliminating_k1(lam, g11, g22)
-        ent = _boxed_entropy(t1, lam, g11, g12, g22)
+    evals = 0
+
+    def resid(z):
+        nonlocal evals
+        evals += 1
+        return np.array(_el_residual(t1, t2, z.tolist()))
+
+    def converged():
+        return r <= 1e-14 * (1.0 + np.max(np.abs(z[1:4])) + abs(z[4]) + 3.0 * abs(z[5]))
+
+    f = resid(z).real
+    r = np.max(np.abs(f))
+    for _ in range(_NEWTON_STEPS):
+        # complex-step Jacobian, exact to rounding
+        jac = np.array([resid(z + 1e-30j * e).imag for e in np.eye(6)]).T / 1e-30
+        try:
+            dz = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        step = 1.0
+        while True:
+            f_new = resid(z + step * dz).real
+            r_new = np.max(np.abs(f_new))
+            if r_new < r:
+                break
+            if converged() or step < 2.0 ** -30:  # at the rounding floor, or stalled
+                return (z if converged() else None), evals
+            step *= 0.5
+        z, f, r = z + step * dz, f_new, r_new
+    return (z if converged() else None), evals
+
+
+def _exact_starts(t1: float, delta: float) -> list:
+    """(lam, v11, v12, v22) starts of the Euler-Lagrange solve, inside the box."""
+    starts = []
+    if delta > 0.0:
+        eps = delta / (3.0 * t1)
+        if t1 != 0.5:
+            # the vanishing-block optimizer; near t1 = 1/2 its first-order
+            # measure overshoots, hence the fixed measures beside it
+            h = -1.0 / (1.0 - 2.0 * t1)
+            vals = (_corner_value(t1), 1.0 - t1 + h * eps, t1 + 2.0 * h * eps)
+            starts += [(lam, *vals) for lam in (min(eps * h * h, 0.45), 0.05, 0.2, 0.45)]
+        d = 2.0 * math.sqrt(eps)
+        starts.append((0.49, t1 - d, t1, t1 + d))
+    else:
+        eps = -delta / t1 ** 3
+        try:
+            lam_r, _, _ = _solve_reduced(t1, eps)
+            starts.append((lam_r, *reduced_ansatz(t1, eps, lam_r).values(t1)))
+        except (InfeasibleError, EpsilonTooLargeError):
+            pass
+    # a dense block, with v22 set by T1 = t1
+    lam = min(2.0 * t1, 0.2)
+    v11 = max(1.0 - t1, min(t1 + 0.6, 0.95))
+    v22 = (t1 - lam * lam * v11 - 2.0 * lam * (1.0 - lam) * t1) / (1.0 - lam) ** 2
+    starts.append((lam, v11, t1, v22))
+    return [s for s in dict.fromkeys(starts) if all(0.0 < v < 1.0 for v in s)]
+
+
+def _solve_exact(t1: float, t2: float, starts):
+    """(canonical ansatz, entropy, evaluations) of the lowest-entropy solution."""
+    best, best_ent, evaluations = None, math.inf, 0
+    for lam, v11, v12, v22 in starts:
+        # alpha and beta from the start's mixed and bulk equations
+        x = [math.log(v / (1.0 - v)) for v in (v11, v12, v22)]
+        w12 = lam * v11 * v12 + (1.0 - lam) * v12 * v22
+        w22 = lam * v12 * v12 + (1.0 - lam) * v22 * v22
+        beta = (x[1] - x[2]) / (6.0 * (w12 - w22))
+        z0 = np.array([math.log(lam / (1.0 - lam)), *x, 0.5 * x[2] - 3.0 * beta * w22, beta])
+        z, evals = _el_newton(t1, t2, z0)
+        evaluations += evals
+        if z is None:
+            continue
+        x0, x11, x12, x22 = z[:4].tolist()
+        if x0 > 0.0:  # relabel the blocks so that lam <= 1/2
+            x0, x11, x22 = -x0, x22, x11
+        lam = _logistic(x0)
+        g = [_logistic(x) - t1 for x in (x11, x12, x22)]
+        ent = _boxed_entropy(t1, lam, *g)
         if ent < best_ent:
-            best_ent, best = ent, (g12, g22)
+            best, best_ent = PerturbationAnsatz(lam, *g), ent
     if best is None:
-        return None
-    return best_ent, PerturbationAnsatz(lam, g11, *best)
-
-
-def _solve_exact(t1: float, delta: float, seeds):
-    evaluations = 0
-
-    def obj(x):
-        nonlocal evaluations
-        evaluations += 1
-        lam, g11 = x
-        if not _LAM_FLOOR < lam < 1.0 - _LAM_FLOOR or not -t1 < g11 < 1.0 - t1:
-            return 1e9
-        found = _best_feasible(t1, lam, g11, delta)
-        return 1e9 if found is None else found[0]
-
-    best = None
-    for x0 in seeds:
-        x, fun, _ = nelder_mead(obj, x0)
-        if fun < 1e8 and (best is None or fun < best[1]):
-            best = (x, fun)
-    if best is None:
-        raise InfeasibleError(
-            f"no two-step solution within value bounds for delta={delta!r}"
-        )
-    found = _best_feasible(t1, best[0][0], best[0][1], delta)
-    return found[1], found[0], evaluations
+        raise InfeasibleError(f"no start of the Euler-Lagrange solve converged for t2={t2!r}")
+    return best, best_ent, evaluations
 
 
 def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
@@ -347,9 +425,14 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
 
     mode "reduced" uses the closed K1 = K2 = 0 family (targets below the
     cube only); mode "exact_constraints" enforces K1 = 0 and
-    K2 + K3 = t2_target - t1^3 exactly over the full two-step class. Reports
-    are canonicalized to lam <= 1/2 (block relabelling is a symmetry).
-    Targets within ``er_tol`` of t1^3 short-circuit to the unperturbed point.
+    K2 + K3 = t2_target - t1^3 exactly over the full two-step class by
+    Newton on the Euler-Lagrange equations, and raises InfeasibleError when
+    no start converges. Reports are canonicalized to lam <= 1/2 (block
+    relabelling is a symmetry). Targets within ``er_tol`` of t1^3
+    short-circuit to the unperturbed point. ``iterations`` counts the
+    candidate measures scored (reduced), the Euler-Lagrange residual
+    evaluations, complex steps included (exact_constraints), or 0 at a
+    short-circuit.
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
@@ -383,25 +466,8 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
         eps = -delta / t1 ** 3
         lam, ent, iters = _solve_reduced(t1, eps)
         ansatz = reduced_ansatz(t1, eps, lam).canonical()
-        label = _case_label_for(ansatz.lam)
     else:
-        seeds = [(0.5, -0.02), (0.2, -0.1), (0.05, -0.3)]
-        if delta < 0.0:
-            eps = -delta / t1 ** 3
-            try:
-                lam_r, _, _ = _solve_reduced(t1, eps)
-                a_r = reduced_ansatz(t1, eps, lam_r)
-                seeds.append((a_r.lam, a_r.g11))
-            except (InfeasibleError, EpsilonTooLargeError):
-                pass
-        elif t1 != 0.5:
-            # vanishing-block structure of the above-line optimizer
-            lam_above = min(max(delta / (1.0 - 2.0 * t1) ** 2 / (3.0 * t1), 1e-5), 0.45)
-            seeds.append((lam_above, _corner_value(t1) - t1))
-        ansatz, ent, iters = _solve_exact(t1, delta, seeds)
-        ansatz = ansatz.canonical()
-        label = _case_label_for(ansatz.lam)
-
+        ansatz, ent, iters = _solve_exact(t1, t2_target, _exact_starts(t1, delta))
     resid = constraint_residuals(t1, ansatz)
     gap = abs(resid.k1) + abs(resid.k2 + resid.k3 - delta)
     if gap > _RESIDUAL_TOL:
@@ -411,7 +477,8 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
         )
     return SolveReport(
         t1=t1, t2_target=t2_target, ansatz=ansatz, entropy=ent,
-        residuals=resid, case_label=label, iterations=iters, mode=mode,
+        residuals=resid, case_label="I" if ansatz.lam >= 0.45 else "II",
+        iterations=iters, mode=mode,
     )
 
 
@@ -468,7 +535,7 @@ class ExclusionReport:
 def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> ExclusionReport:
     """Fit K2-vs-eps exponents along the families that keep K2 > 0.
 
-    ``eps`` is the largest scale probed; ``n_scales`` decades are scanned
+    ``eps`` is the largest scale probed; n_scales >= 2 decades are scanned
     down from it. A fitted exponent below 1 certifies K2 = omega(eps) for
     that family, so K2 + K3 = -t1^3 eps is unattainable along it. The
     report also confirms the K2 = 0 reduced branch is attainable and that
@@ -485,6 +552,8 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
     if not 0.0 < eps <= 1e-2:
         raise DomainError(f"need eps in (0, 1e-2], got {eps!r}")
+    if not (isinstance(n_scales, int) and n_scales >= 2):
+        raise DomainError(f"need an integer n_scales >= 2, got {n_scales!r}")
     scales = tuple(eps * 10.0 ** (-i) for i in range(n_scales))
     exponents, positive = {}, {}
     for case in EXCLUSION_CASES:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .entropy import (
     _entropy_vec,
+    _logistic,
     bernoulli_entropy,
     bregman_quotient_limit,
     bregman_quotient_min,
@@ -201,14 +202,6 @@ def constant_graphon_sup(theta: MultiplierPair) -> tuple:
         if resid > 1e-10:
             raise DomainError(f"stationarity residual {resid!r} above 1e-10")
     return u_star, value
-
-
-def _logistic(x: float) -> float:
-    """1/(1 + e^-x) without overflow for either sign of x."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def region_classify(pair: ConstraintPair) -> str:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ergraphon import above_line_coefficient, bernoulli_entropy
 from ergraphon.cli import main
 from ergraphon.ensembles import _NEWTON_TOL
 from ergraphon.perturb import _ER_TOL, _RESIDUAL_TOL
@@ -232,6 +233,29 @@ class TestSolveCommand:
         (rec,) = json.loads(out)
         assert rec["case"] == "I"
         assert rec["lam"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_text_honours_out(self, tmp_path, capsys):
+        path = tmp_path / "o.txt"
+        argv = ("solve", "--t1", "0.3", "--t2", "0.026973")
+        code, out, _ = run_capture(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_text().startswith("t1 = 0.29999999999999999\n")
+        code, out, _ = run_capture(capsys, *argv, "--out", str(tmp_path / "no" / "o.txt"))
+        assert code == 3
+        assert out == ""
+
+    def test_exact_constraints_vanishing_block(self, capsys):
+        # eps = 1e-8 above the line at t1 = 0.7: the optimal block has
+        # measure eps/(1-2 t1)^2 = 6.25e-8, and the increment is the rate
+        code, out, _ = run_capture(capsys, "solve", "--mode", "exact_constraints",
+                                   "--t1", "0.7", "--t2", "0.343000021")
+        assert code == 0
+        row = dict(ln.split(" = ") for ln in out.splitlines())
+        assert float(row["lam"]) == pytest.approx(6.25e-8, rel=1e-4)
+        eps = (0.343000021 - 0.7**3) / (3 * 0.7)
+        inc = float(row["entropy"]) - bernoulli_entropy(0.7)
+        assert inc == pytest.approx(above_line_coefficient(0.7) * eps, rel=1e-6)
 
     def test_trailer_formats_the_solver_constants(self, capsys):
         code, out, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", "0.02",

@@ -3,7 +3,6 @@ exactness, the case expansions, and both solver modes."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from ergraphon import (
     EpsilonTooLargeError,
     InfeasibleError,
     PerturbationAnsatz,
+    above_line_coefficient,
     above_line_graphon,
     ansatz_graphon,
     below_line_global_graphon,
@@ -36,7 +36,6 @@ from ergraphon import (
     triangle_density,
 )
 from ergraphon.optimize import loglog_slope
-from ergraphon.perturb import _g22_roots
 
 
 def brute_k_integrals(a: PerturbationAnsatz):
@@ -325,6 +324,16 @@ class TestSolveExact:
         rep = solve_microcanonical(0.4, 0.064, mode="exact_constraints")
         assert rep.entropy == pytest.approx(bernoulli_entropy(0.4), abs=1e-15)
 
+    @pytest.mark.parametrize("t1", [0.3, 0.7])
+    def test_vanishing_block_below_1e_minus_6(self, t1):
+        # eps = 1e-8 above the line: the optimal block has measure
+        # eps/(1-2 t1)^2 = 6.25e-8, and the increment is the linear rate
+        eps = 1e-8
+        rep = solve_microcanonical(t1, t1**3 + 3 * t1 * eps, mode="exact_constraints")
+        assert rep.ansatz.lam == pytest.approx(eps / (1 - 2 * t1) ** 2, rel=1e-4)
+        inc = rep.entropy - bernoulli_entropy(t1)
+        assert inc == pytest.approx(above_line_coefficient(t1) * eps, rel=1e-6)
+
 
 # exact_constraints answers at eps = 1e-4, recorded from the solver that
 # fitted the g22 cubic on four nodes: (t1, side, lam, g11, g12, g22, entropy).
@@ -363,13 +372,17 @@ class TestExactConstraintsRecorded:
             assert abs(got - want) <= 1e-5
 
 
-# exact_constraints answers that need more than one kind of Nelder-Mead
-# start: (t1, side, eps, entropy). Above the line at eps = 1e-2 the optimum
-# is a dense block of measure lam > 0.1; the vanishing-block seed alone
-# stalls at -0.12956600950377076 (t1 = 0.1) and -0.1737572191422909
-# (t1 = 0.14). Below the line at t1 = 0.75 only the reduced-solve seed is
-# feasible; the fixed starts alone raise InfeasibleError.
+# exact_constraints answers that need more than one kind of start:
+# (t1, side, eps, entropy). Above the line at eps = 1e-2 and t1 <= 0.14 the
+# optimum is a dense block of measure lam > 0.1. From the vanishing-block
+# start at lam = eps/(1-2 t1)^2, Newton stops at a corner block of measure
+# below 0.03 whose entropy is higher by 4.2e-3 (t1 = 0.14) to 3.2e-2
+# (t1 = 0.05); at t1 <= 0.08 only the dense-block start reaches the optimum.
+# Below the line at t1 = 0.75 only the reduced solve's answer reaches it.
 EXACT_STARTS = [
+    (0.05, "above", 1e-2, -0.078859656565991),
+    (0.075, "above", 1e-2, -0.11038655339979206),
+    (0.08, "above", 1e-2, -0.1162509737105516),
     (0.1, "above", 1e-2, -0.1384830611493011),
     (0.14, "above", 1e-2, -0.1779308638782323),
     (0.75, "below", 1e-4, -0.27979539320519453),
@@ -384,77 +397,6 @@ class TestExactConstraintsStarts:
         assert abs(rep.entropy - entropy) <= 1e-12
         if side == "above":
             assert rep.ansatz.lam > 0.1
-
-
-def mp_g22_cubic(t1, lam, g11, delta):
-    """(coefficients, roots, phi) of phi(g22) = K2 + K3 - delta at 60 digits.
-
-    phi eliminates K1 through g12 and sums the constraint functionals as
-    defined; its cubic coefficients come from exact interpolation on four
-    nodes, independently of the closed-form coefficients in the solver.
-    """
-    t1, lam, g11, delta = map(mpmath.mpf, (t1, lam, g11, delta))
-    mu = 1 - lam
-
-    def phi(g22):
-        g22 = mpmath.mpf(g22)
-        g12 = -(lam * g11 / mu + mu * g22 / lam) / 2
-        r1 = lam * g11 + mu * g12
-        r2 = lam * g12 + mu * g22
-        k2 = 3 * t1 * (lam * r1**2 + mu * r2**2)
-        k3 = (lam**3 * g11**3 + mu**3 * g22**3
-              + 3 * lam * mu * g12**2 * (lam * g11 + mu * g22))
-        return k2 + k3 - delta
-
-    nodes = (-1, 0, 1, 2)
-    vander = mpmath.matrix([[mpmath.mpf(x) ** k for k in (3, 2, 1, 0)] for x in nodes])
-    c = mpmath.lu_solve(vander, mpmath.matrix([phi(x) for x in nodes]))
-    coeffs = [c[i] for i in range(4)]
-    return coeffs, mpmath.polyroots(coeffs, maxsteps=200, extraprec=200), phi
-
-
-class TestG22Roots:
-    def check(self, t1, lam, g11, delta):
-        """Real-root count and residuals of _g22_roots against mpmath."""
-        roots = _g22_roots(t1, lam, g11, delta)
-        with mpmath.workdps(60):
-            coeffs, exact, phi = mp_g22_cubic(t1, lam, g11, delta)
-            # the solver counts a root as real when |imag| <= 1e-9
-            assert len(roots) == sum(1 for r in exact if abs(mpmath.im(r)) <= 1e-9)
-            for x in roots:
-                resid = abs(phi(x))
-                scale = sum(abs(c) * abs(mpmath.mpf(x)) ** k
-                            for c, k in zip(coeffs, (3, 2, 1, 0)))
-                assert resid <= 1e-11 * scale
-                g12 = g12_eliminating_k1(lam, g11, x)
-                if all(0.0 <= t1 + v <= 1.0 for v in (g11, g12, x)):
-                    # far inside the solver's 1e-10 residual gate
-                    assert resid <= 1e-15
-        return roots, exact
-
-    def test_near_double_complex_pair_is_not_real(self):
-        # a conjugate pair with imaginary part 7.3e-9 next to g22 = 0; fitting
-        # the cubic on four nodes reported it as two real roots at +-2.7e-7
-        t1, lam = 0.5435094469010598, 9.21480240734928e-06
-        g11, delta = -0.4727693187314891, -2.3896059579322465e-12
-        roots, exact = self.check(t1, lam, g11, delta)
-        with mpmath.workdps(60):
-            imag = sorted(float(abs(mpmath.im(r))) for r in exact)
-        assert imag[0] < 1e-40
-        assert imag[1] == pytest.approx(7.3e-9, rel=0.01)
-        assert len(roots) == 1
-
-    def test_random_cases(self):
-        rng = np.random.default_rng(20261018)
-        for _ in range(150):
-            t1 = rng.uniform(0.05, 0.95)
-            lam = 10 ** rng.uniform(-6, math.log10(0.5))
-            if rng.random() < 0.5:
-                lam = 1 - lam
-            g11 = rng.uniform(-t1, 1 - t1)
-            eps = 10 ** rng.uniform(-10, -2)
-            delta = -t1**3 * eps if rng.random() < 0.5 else 3 * t1 * eps
-            self.check(t1, lam, g11, delta)
 
 
 class TestExclusionScan:
@@ -489,6 +431,11 @@ class TestExclusionScan:
     def test_domain(self):
         with pytest.raises(DomainError):
             exclusion_scan(0.3, eps=0.5)
+
+    @pytest.mark.parametrize("n_scales", [0, 1])
+    def test_fewer_than_two_scales(self, n_scales):
+        with pytest.raises(DomainError, match="n_scales"):
+            exclusion_scan(0.3, n_scales=n_scales)
 
     def test_case_ii_limit_names_t1_and_scale(self):
         # at t1 = 0.74 the reduced optimum at the top scale 1e-2 has

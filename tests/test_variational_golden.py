@@ -1,12 +1,13 @@
 """Golden outputs of the variational solvers, compared exactly (==, no tolerance).
 
 The reduced solve scans about a thousand candidate two-step graphons and
-polishes the best bracket by golden section; ``exact_constraints`` runs a
-Nelder-Mead over (lam, g11) on the roots of an explicit cubic. Every float
-they return depends on the order and rounding of that arithmetic. These
-values were recorded before the candidate evaluation was last rewritten;
-any change to the grid, the objective or the block-value formulas shows up
-here as an inequality.
+polishes the best bracket by golden section; ``exact_constraints`` runs
+damped Newton on the Euler-Lagrange equations from a handful of starts.
+Every float they return depends on the order and rounding of that
+arithmetic, so any change to the grid, the starts, the residual or the
+block-value formulas shows up here as an inequality. That the
+``exact_constraints`` answers are stationary points, independently of
+these bits, is checked in ``test_optimality.py``.
 """
 
 import pytest
@@ -27,10 +28,11 @@ REDUCED = {
     (0.8, 0.01): (0.19157112031416168, -0.7273360285047222, 0.17235477520255085, -0.04084242684387931, -0.20476239507795305, 1045, 'II'),  # noqa: E501
     (0.9, 1e-06): (0.011005574436926745, -0.8087674006669997, 0.009000000000134241, -0.00010015240467854504, -0.16242761118519833, 1046, 'II'),  # noqa: E501
 }
-# (t1, sign) -> the same tuple for exact_constraints at t2 = t1^3 (1 + sign 1e-4)
+# (t1, sign) -> the same tuple for exact_constraints at t2 = t1^3 (1 + sign 1e-4);
+# there the iterations entry counts Euler-Lagrange residual evaluations
 EXACT = {
-    (0.3, 1.0): (1.875218242386456e-05, 0.6917776733336295, 0.3999688527922088, -1.5001102350523511e-05, -0.3054257961927531, 3027, 'II'),  # noqa: E501
-    (0.7, -1.0): (0.07037647175886752, -0.42957954179746666, 0.03232050325905912, -0.002431621219980533, -0.3042910636767462, 694, 'II'),  # noqa: E501
+    (0.3, 1.0): (1.8752218453265422e-05, 0.6918454457680412, 0.39996846639767986, -1.5001116705770645e-05, -0.3054257961927531, 1331, 'II'),  # noqa: E501
+    (0.7, -1.0): (0.07037648447815266, -0.4295794627501698, 0.03232050148125509, -0.0024316213979346246, -0.3042910636767462, 489, 'II'),  # noqa: E501
 }
 # curve_sweep([0.3, 0.7], [1e-5, 1e-4, 1e-3], "both")
 CURVE = [
