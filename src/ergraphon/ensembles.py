@@ -169,13 +169,18 @@ class DenseGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "DenseGraph":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        n = int(lines[0])
+        """Inverse of ``to_text``; DomainError on any malformed line."""
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if not lines or not (lines[0].isascii() and lines[0].isdigit()) or int(lines[0]) < 1:
+            raise DomainError(f"graph text must open with a vertex count n >= 1: {lines[:1]!r}")
+        n, rows = int(lines[0]), lines[1:]
+        if len(rows) != n - 1:
+            raise DomainError(f"graph text for n={n} needs {n - 1} bit rows, got {len(rows)}")
         edges = []
-        for i, ln in enumerate(lines[1 : n]):
-            for k, ch in enumerate(ln):
-                if ch == "1":
-                    edges.append((i, i + 1 + k))
+        for i, row in enumerate(rows):
+            if len(row) != n - 1 - i or not set(row) <= {"0", "1"}:
+                raise DomainError(f"bit row {i} must be {n - 1 - i} characters 0 or 1: {row!r}")
+            edges += [(i, i + 1 + k) for k, ch in enumerate(row) if ch == "1"]
         return cls.from_edges(n, edges)
 
 

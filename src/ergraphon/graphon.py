@@ -125,12 +125,16 @@ class StepGraphon:
 
     @classmethod
     def from_text(cls, text: str) -> "StepGraphon":
-        rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
+        """Inverse of ``to_text``; DomainError on a token that is not a float."""
+        try:
+            rows = [[float(x) for x in ln.split()] for ln in text.splitlines() if ln.strip()]
+        except ValueError as exc:
+            raise DomainError(f"bad step-graphon text: {exc}") from None
         if not rows:
             raise DomainError("empty step-graphon text")
-        measures = np.array([float(x) for x in rows[0]])
-        values = np.array([[float(x) for x in r] for r in rows[1:]])
-        return cls(measures, values)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise DomainError("every step-graphon line must hold one number per block")
+        return cls(np.array(rows[0]), np.array(rows[1:]))
 
 
 def edge_density(h: StepGraphon) -> float:

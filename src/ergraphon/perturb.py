@@ -36,9 +36,9 @@ D = diag(m) and V the 2x2 block values,
 Damped Newton solves these six equations in z = (logit lam, logit v11,
 logit v12, logit v22, alpha, beta), where I'(v) = (logit v)/2 is exact and
 no value can leave (0, 1), with a complex-step Jacobian (Squire & Trapp,
-SIAM Rev. 40 (1998)). It starts from the vanishing-block optimizer and a
-near-symmetric split above the line, the reduced answer below it, and a
-dense block on both sides; the converged answer of lowest entropy wins.
+SIAM Rev. 40 (1998)), from the reduced answer below the line and, above it,
+from the vanishing-block optimizer at its first-order measure and at 0.2, a
+near-symmetric split and a dense block, of which the lowest answer wins.
 
 ``exclusion_scan`` probes the ansatz families for which K2 cannot vanish and
 fits how fast K2 decays with eps: whenever K2 > 0 along those families it
@@ -220,6 +220,14 @@ def reduced_ansatz(t1: float, eps: float, lam: float) -> PerturbationAnsatz:
     return a
 
 
+def _below_line_target(t1: float, eps: float) -> float:
+    """t1^3 (1 - eps), or DomainError when it rounds to t1^3."""
+    target = t1 ** 3 * (1.0 - eps)
+    if target == t1 ** 3:
+        raise DomainError(f"eps={eps!r} is below the resolution of t1^3 (1 - eps) at t1={t1!r}")
+    return target
+
+
 def case_entropy(t1: float, eps: float, case: str, param: float) -> float:
     """Asymptotic entropy of the reduced branch for the three block-measure regimes.
 
@@ -366,29 +374,29 @@ def _el_newton(t1: float, t2: float, z: np.ndarray):
 
 def _exact_starts(t1: float, delta: float) -> list:
     """(lam, v11, v12, v22) starts of the Euler-Lagrange solve, inside the box."""
-    starts = []
     if delta > 0.0:
         eps = delta / (3.0 * t1)
+        starts = []
         if t1 != 0.5:
             # the vanishing-block optimizer; near t1 = 1/2 its first-order
-            # measure overshoots, hence the fixed measures beside it
+            # measure overshoots, hence the fixed measure 0.2 beside it
             h = -1.0 / (1.0 - 2.0 * t1)
             vals = (_corner_value(t1), 1.0 - t1 + h * eps, t1 + 2.0 * h * eps)
-            starts += [(lam, *vals) for lam in (min(eps * h * h, 0.45), 0.05, 0.2, 0.45)]
+            starts += [(lam, *vals) for lam in (min(eps * h * h, 0.45), 0.2)]
         d = 2.0 * math.sqrt(eps)
         starts.append((0.49, t1 - d, t1, t1 + d))
+        # a dense block, with v22 set by T1 = t1
+        lam = min(2.0 * t1, 0.2)
+        v11 = max(1.0 - t1, min(t1 + 0.6, 0.95))
+        v22 = (t1 - lam * lam * v11 - 2.0 * lam * (1.0 - lam) * t1) / (1.0 - lam) ** 2
+        starts.append((lam, v11, t1, v22))
     else:
         eps = -delta / t1 ** 3
         try:
             lam_r, _, _ = _solve_reduced(t1, eps)
-            starts.append((lam_r, *reduced_ansatz(t1, eps, lam_r).values(t1)))
-        except (InfeasibleError, EpsilonTooLargeError):
-            pass
-    # a dense block, with v22 set by T1 = t1
-    lam = min(2.0 * t1, 0.2)
-    v11 = max(1.0 - t1, min(t1 + 0.6, 0.95))
-    v22 = (t1 - lam * lam * v11 - 2.0 * lam * (1.0 - lam) * t1) / (1.0 - lam) ** 2
-    starts.append((lam, v11, t1, v22))
+            starts = [(lam_r, *reduced_ansatz(t1, eps, lam_r).values(t1))]
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"no reduced seed for the Euler-Lagrange solve: {exc}") from None
     return [s for s in dict.fromkeys(starts) if all(0.0 < v < 1.0 for v in s)]
 
 
@@ -427,12 +435,13 @@ def solve_microcanonical(t1: float, t2_target: float, mode: str = "reduced",
     cube only); mode "exact_constraints" enforces K1 = 0 and
     K2 + K3 = t2_target - t1^3 exactly over the full two-step class by
     Newton on the Euler-Lagrange equations, and raises InfeasibleError when
-    no start converges. Reports are canonicalized to lam <= 1/2 (block
-    relabelling is a symmetry). Targets within ``er_tol`` of t1^3
-    short-circuit to the unperturbed point. ``iterations`` counts the
-    candidate measures scored (reduced), the Euler-Lagrange residual
-    evaluations, complex steps included (exact_constraints), or 0 at a
-    short-circuit.
+    no start converges (as at optima with a block value at 0 or 1, outside
+    its logit coordinates) or the reduced seed below the line is missing.
+    Reports are canonicalized to lam <= 1/2 (block relabelling is a
+    symmetry). Targets within ``er_tol`` of t1^3 short-circuit to the
+    unperturbed point. ``iterations`` counts the candidate measures scored
+    (reduced), the Euler-Lagrange residual evaluations, complex steps
+    included (exact_constraints), or 0 at a short-circuit.
     """
     if not 0.0 < t1 < 1.0:
         raise DomainError(f"need t1 in (0, 1), got {t1!r}")
@@ -540,7 +549,8 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
     that family, so K2 + K3 = -t1^3 eps is unattainable along it. The
     report also confirms the K2 = 0 reduced branch is attainable and that
     its exact entropies track the case expansions; each scale's reduced
-    target is solved as given, with no ER-line tolerance.
+    target is solved with no ER-line tolerance, and DomainError names a
+    scale s below the resolution of t1^3 (1 - s).
 
     Where a scale's reduced optimum falls in case II, its expansion needs
     c = lam / scale^(1/3) >= 1. At large t1 the top scale can give c < 1
@@ -555,6 +565,7 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
     if not (isinstance(n_scales, int) and n_scales >= 2):
         raise DomainError(f"need an integer n_scales >= 2, got {n_scales!r}")
     scales = tuple(eps * 10.0 ** (-i) for i in range(n_scales))
+    targets = [_below_line_target(t1, s) for s in scales]
     exponents, positive = {}, {}
     for case in EXCLUSION_CASES:
         k2s = []
@@ -571,9 +582,9 @@ def exclusion_scan(t1: float, eps: float = 1e-2, n_scales: int = 5) -> Exclusion
 
     worst_gap = 0.0
     attainable = True
-    for s in scales:
+    for s, t2 in zip(scales, targets):
         try:
-            rep = solve_microcanonical(t1, t1 ** 3 * (1.0 - s), mode="reduced", er_tol=0.0)
+            rep = solve_microcanonical(t1, t2, mode="reduced", er_tol=0.0)
         except (InfeasibleError, EpsilonTooLargeError):
             attainable = False
             continue

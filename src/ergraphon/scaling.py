@@ -42,7 +42,7 @@ from .entropy import (
 from .errors import DomainError
 from .graphon import _admissible, above_line_graphon, entropy_functional
 from .optimize import golden_section_min
-from .perturb import _ER_TOL, solve_microcanonical
+from .perturb import _ER_TOL, _below_line_target, solve_microcanonical
 
 __all__ = [
     "ConstraintPair",
@@ -143,12 +143,7 @@ def specific_relative_entropy(t1: float, eps: float, side: str) -> float:
         return 0.0
     base = bernoulli_entropy(t1)
     if side == "below":
-        target = t1 ** 3 * (1.0 - eps)
-        if target == t1 ** 3:
-            raise DomainError(
-                f"eps={eps!r} is below the resolution of t1^3 (1 - eps) at t1={t1!r}"
-            )
-        report = solve_microcanonical(t1, target, mode="reduced", er_tol=0.0)
+        report = solve_microcanonical(t1, _below_line_target(t1, eps), mode="reduced", er_tol=0.0)
         return report.entropy - base
     if t1 ** 3 + 3.0 * t1 * eps == t1 ** 3:
         raise DomainError(

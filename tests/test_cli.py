@@ -257,6 +257,14 @@ class TestSolveCommand:
         inc = float(row["entropy"]) - bernoulli_entropy(0.7)
         assert inc == pytest.approx(above_line_coefficient(0.7) * eps, rel=1e-6)
 
+    def test_exact_constraints_missing_seed_exit_4(self, capsys):
+        t2 = f"{0.96**3 * (1 - 1e-4):.17g}"
+        code, out, err = run_capture(capsys, "solve", "--mode", "exact_constraints",
+                                     "--t1", "0.96", "--t2", t2)
+        assert code == 4
+        assert out == ""
+        assert "no reduced seed" in err
+
     def test_trailer_formats_the_solver_constants(self, capsys):
         code, out, _ = run_capture(capsys, "solve", "--t1", "0.3", "--t2", "0.02",
                                    "--format", "csv")

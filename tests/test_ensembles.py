@@ -135,6 +135,15 @@ class TestDenseGraph:
             g = random_graph(rng, rng.randint(2, 9))
             assert DenseGraph.from_text(g.to_text()) == g
 
+    @pytest.mark.parametrize("text", [
+        "", "x\n", "0\n", "3.0\n11\n1\n",  # no vertex count n >= 1
+        "4\n1\n", "3\n11\n1\n1\n",  # a row count other than n - 1
+        "3\n1\n1\n", "3\n1x\n1\n", "3\n11\n2\n", "3\n1 1\n1\n",  # a bad row
+    ])
+    def test_malformed_text_is_a_domain_error(self, text):
+        with pytest.raises(DomainError):
+            DenseGraph.from_text(text)
+
     def test_rejects_self_loop_and_asymmetry(self):
         with pytest.raises(DomainError):
             DenseGraph.from_edges(3, [(1, 1)])

@@ -178,6 +178,11 @@ class TestStepGraphon:
             assert np.array_equal(h.measures, h2.measures)
             assert np.array_equal(h.values, h2.values)
 
+    @pytest.mark.parametrize("text", ["0.5 x\n1 1\n1 1\n", "0.5 0.5\n1 1\n1\n", "\n"])
+    def test_malformed_text_is_a_domain_error(self, text):
+        with pytest.raises(DomainError):
+            StepGraphon.from_text(text)
+
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(6)
         h = random_graphon(rng, k=3)

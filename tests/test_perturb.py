@@ -334,6 +334,12 @@ class TestSolveExact:
         inc = rep.entropy - bernoulli_entropy(t1)
         assert inc == pytest.approx(above_line_coefficient(t1) * eps, rel=1e-6)
 
+    def test_missing_reduced_seed_names_its_reason(self):
+        # t1 (1 + eps^(1/3)) > 1: the reduced family, whose answer is the
+        # only start below the line, leaves the box
+        with pytest.raises(InfeasibleError, match=r"reduced seed.*mixed value.*> 1"):
+            solve_microcanonical(0.96, 0.96**3 * (1 - 1e-4), mode="exact_constraints")
+
 
 # exact_constraints answers at eps = 1e-4, recorded from the solver that
 # fitted the g22 cubic on four nodes: (t1, side, lam, g11, g12, g22, entropy).
@@ -378,6 +384,9 @@ class TestExactConstraintsRecorded:
 # start at lam = eps/(1-2 t1)^2, Newton stops at a corner block of measure
 # below 0.03 whose entropy is higher by 4.2e-3 (t1 = 0.14) to 3.2e-2
 # (t1 = 0.05); at t1 <= 0.08 only the dense-block start reaches the optimum.
+# At t1 = 0.499 the first-order measure overshoots: only the vanishing block
+# started at lam = 0.2 reaches the optimum (lam = 0.1475) at eps = 1e-6, and
+# only the near-symmetric split (lam = 0.3576) at eps = 1e-5.
 # Below the line at t1 = 0.75 only the reduced solve's answer reaches it.
 EXACT_STARTS = [
     (0.05, "above", 1e-2, -0.078859656565991),
@@ -385,6 +394,8 @@ EXACT_STARTS = [
     (0.08, "above", 1e-2, -0.1162509737105516),
     (0.1, "above", 1e-2, -0.1384830611493011),
     (0.14, "above", 1e-2, -0.1779308638782323),
+    (0.499, "above", 1e-6, -0.34657059027529),
+    (0.499, "above", 1e-5, -0.34655259011784073),
     (0.75, "below", 1e-4, -0.27979539320519453),
 ]
 
@@ -447,6 +458,11 @@ class TestExclusionScan:
 
     def test_smaller_eps_reaches_case_ii(self):
         assert exclusion_scan(0.74, eps=1e-3).reduced_attainable
+
+    def test_scale_below_resolution(self):
+        # 1 - 1e-17 rounds to 1, so that scale's target would be t1^3 itself
+        with pytest.raises(DomainError, match=r"eps=1e-17 is below the resolution .* t1=0\.6"):
+            exclusion_scan(0.6, 1e-2, 20)
 
 
 @pytest.mark.parametrize("call", [

@@ -31,8 +31,8 @@ REDUCED = {
 # (t1, sign) -> the same tuple for exact_constraints at t2 = t1^3 (1 + sign 1e-4);
 # there the iterations entry counts Euler-Lagrange residual evaluations
 EXACT = {
-    (0.3, 1.0): (1.8752218453265422e-05, 0.6918454457680412, 0.39996846639767986, -1.5001116705770645e-05, -0.3054257961927531, 1331, 'II'),  # noqa: E501
-    (0.7, -1.0): (0.07037648447815266, -0.4295794627501698, 0.03232050148125509, -0.0024316213979346246, -0.3042910636767462, 489, 'II'),  # noqa: E501
+    (0.3, 1.0): (1.875221845333774e-05, 0.6918454457680419, 0.3999684663976843, -1.5001116705881667e-05, -0.30542579619275306, 1082, 'II'),  # noqa: E501
+    (0.7, -1.0): (0.07037648447815266, -0.4295794627501698, 0.03232050148125509, -0.0024316213979346246, -0.3042910636767462, 36, 'II'),  # noqa: E501
 }
 # curve_sweep([0.3, 0.7], [1e-5, 1e-4, 1e-3], "both")
 CURVE = [
