@@ -112,6 +112,18 @@ def _float_list(text: str) -> list:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+_CONFIG_KEYS = ("t1", "eps", "side")
+
+
+def _config_numbers(cfg: dict, key: str) -> list:
+    """``cfg[key]`` (default empty) as floats; DomainError unless a JSON array of numbers."""
+    values = cfg.get(key, [])
+    if not (isinstance(values, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)):
+        raise DomainError(f"config key {key!r} must be a JSON array of numbers, got {values!r}")
+    return [float(x) for x in values]
+
+
 def _check_eps_grid(grid) -> None:
     for e in grid:
         if not 0.0 < e <= EPS_MAX:
@@ -162,15 +174,21 @@ def cmd_curve(args) -> int:
             cfg = json.loads(raw)
             if not isinstance(cfg, dict):
                 raise DomainError(f"{args.config} must hold a JSON object")
-            t1_list = [float(x) for x in cfg.get("t1", [])]
-            eps_grid = [float(x) for x in cfg.get("eps", [])]
+            unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+            if unknown:
+                raise DomainError(f"{args.config}: unknown keys {unknown}; "
+                                  f"the keys are {', '.join(_CONFIG_KEYS)}")
+            t1_list = _config_numbers(cfg, "t1")
+            eps_grid = _config_numbers(cfg, "eps")
             side = cfg.get("side", args.side)
+            # the trailer hashes the values the file holds, not its path
+            args.config = {"t1": t1_list, "eps": eps_grid, "side": side}
         else:
             t1_list = _float_list(args.t1)
             eps_grid = _float_list(args.eps)
             side = args.side
-    except (TypeError, ValueError) as exc:
-        # malformed JSON, or a t1/eps entry that is not a number
+    except (ValueError, OverflowError) as exc:
+        # malformed JSON, a --t1/--eps entry that is not a number, or an int beyond float range
         raise DomainError(f"bad curve input: {exc}") from None
     _check_eps_grid(eps_grid)
     rows = curve_sweep(t1_list, eps_grid, side)

@@ -39,7 +39,10 @@ byte for byte. Counting runs to n = 8, weighted sums to n = 7.
 The canonical weight is constant on a constraint class, so the relative
 entropy of the microcanonical with respect to the canonical ensemble is
 S_n = -log Omega - log w(e*, t*). The per-mask class sum that this identity
-collapses is recomputed independently in the tests.
+collapses is recomputed independently in the tests. Omega is one lookup in
+a per-n dict of the cells, and each class's relative entropy is computed
+once and memoized: only the 196 cells of N_1..N_7 can be answered, which
+bounds the memo.
 
 At larger n the canonical ensemble is sampled by single-edge-flip Metropolis
 with incremental triangle updates (flipping (i, j) changes the triangle
@@ -244,10 +247,41 @@ def _dos(n: int) -> tuple:
     return tuple(np.array(col, dtype=np.int64) for col in zip(*CELLS[n]))
 
 
-def _class_size(n: int, e_star: int, t_star: int) -> int:
+@lru_cache(maxsize=COUNT_CAPACITY)
+def _class_sizes(n: int) -> dict:
+    """N_n as a dict {(edges, triangles): count} over its nonzero cells."""
     edges, tris, counts = _dos(n)
-    hit = counts[(edges == e_star) & (tris == t_star)]
-    return int(hit[0]) if hit.size else 0
+    return dict(zip(zip(edges.tolist(), tris.tolist()), counts.tolist()))
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; integral floats such as 1e6 are accepted.
+
+    An int is kept exact, so one beyond float range still compares with a capacity.
+    """
+    if isinstance(value, int):
+        x = value
+    else:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+        if not x.is_integer():
+            raise DomainError(f"need a whole number {name} >= {least}, got {value!r}")
+    if x < least:
+        raise DomainError(f"need a whole number {name} >= {least}, got {value!r}")
+    return int(x)
+
+
+def _capped_n(n, least: int, capacity: int, what: str) -> int:
+    """``n`` as an int >= ``least`` (else DomainError), at most ``capacity`` (else CapacityError).
+
+    The int is passed on, so memo keys and table lookups see one spelling of n.
+    """
+    n = _whole("n", n, least)
+    if n > capacity:
+        raise CapacityError(f"{what} handles {least} <= n <= {capacity}, got {n!r}")
+    return n
 
 
 def _finite_pair(name: str, pair) -> tuple:
@@ -258,10 +292,16 @@ def _finite_pair(name: str, pair) -> tuple:
 
 
 def _count_pair(c_star) -> tuple:
-    e_star, t_star = _finite_pair("constraint counts", c_star)
-    if not (e_star.is_integer() and t_star.is_integer()):
-        raise DomainError(f"constraint counts must be whole numbers, got {tuple(c_star)!r}")
-    return int(e_star), int(t_star)
+    """(edges, triangles) as ints; ints are kept exact, integral floats accepted."""
+    pair = []
+    for c in c_star[0], c_star[1]:
+        if not isinstance(c, int):
+            c = float(c)
+            if not c.is_integer():  # nan and inf included
+                raise DomainError(
+                    f"constraint counts must be whole numbers, got {tuple(c_star)!r}")
+        pair.append(int(c))
+    return tuple(pair)
 
 
 def count_constrained(n: int, c_star) -> int:
@@ -271,16 +311,12 @@ def count_constrained(n: int, c_star) -> int:
     committed cell table; pairs outside its cells (negative, too many
     edges, non-graphical) count 0.
     """
-    if n < 1 or n > COUNT_CAPACITY:
-        raise CapacityError(f"count_constrained handles 1 <= n <= {COUNT_CAPACITY}, got {n!r}")
-    return _class_size(n, *_count_pair(c_star))
+    n = _capped_n(n, 1, COUNT_CAPACITY, "count_constrained")
+    return _class_sizes(n).get(_count_pair(c_star), 0)
 
 
-def _require_weighted(n: int) -> None:
-    if n < 1 or n > WEIGHTED_CAPACITY:
-        raise CapacityError(
-            f"exact weighted enumeration handles 1 <= n <= {WEIGHTED_CAPACITY}, got {n!r}"
-        )
+def _weighted_n(n) -> int:
+    return _capped_n(n, 1, WEIGHTED_CAPACITY, "exact weighted enumeration")
 
 
 @lru_cache(maxsize=WEIGHTED_CAPACITY)
@@ -355,7 +391,7 @@ def _canonical_moments(n: int, theta, rows=None) -> tuple:
 
 def partition_exact(n: int, theta) -> tuple:
     """(psi_n, (mean edge density, mean triangle density)), exact over N_n."""
-    _require_weighted(n)
+    n = _weighted_n(n)
     logz, means, _ = _canonical_moments(n, _finite_pair("theta", theta))
     return logz / n ** 2, means
 
@@ -381,7 +417,7 @@ def calibrate_exact(n: int, t_target, units: str = "density",
 def _calibrate(n: int, t_target, units: str = "density",
                tol: float = _NEWTON_TOL, max_iter: int = 100) -> tuple:
     """(theta, log Z_n, means) of ``calibrate_exact``, from its last Newton evaluation."""
-    _require_weighted(n)
+    n = _weighted_n(n)
     target = _finite_pair("target", t_target)
     if units == "count":
         counts, target = target, counts_to_densities(n, *target)
@@ -452,10 +488,19 @@ def relative_entropy_exact(n: int, c_star) -> EnsembleSolution:
     are read from the calibration's last canonical evaluation. A class on
     the convex hull of N_n's cells has no calibrated canonical ensemble and
     raises ConvergenceError.
+
+    Answers are memoized per class (n, e*, t*) after the inputs are checked
+    and made ints, so (5.0, 1.0) and (5, 1) share one entry. Only the cells
+    of N_1..N_7 can succeed, so the memo holds at most 196 entries; raised
+    errors are not stored. The answer is frozen with tuple fields, so the
+    instance every caller shares cannot be mutated.
     """
-    _require_weighted(n)
-    e_star, t_star = _count_pair(c_star)
-    omega = _class_size(n, e_star, t_star)
+    return _relative_entropy(_weighted_n(n), *_count_pair(c_star))
+
+
+@lru_cache(maxsize=None)  # bounded by the 196 cells of N_1..N_7
+def _relative_entropy(n: int, e_star: int, t_star: int) -> EnsembleSolution:
+    omega = _class_sizes(n).get((e_star, t_star), 0)
     if omega == 0:
         raise DomainError(f"constraint ({e_star}, {t_star}) is not graphical for n={n}")
     theta, logz, means = _calibrate(n, (e_star, t_star), units="count")
@@ -589,22 +634,8 @@ def _batch_stats(batch_means: np.ndarray) -> tuple:
     return mean, se
 
 
-def _whole(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; integral floats such as 1e6 are accepted."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a whole number, got {value!r}") from None
-    if not x.is_integer() or x < least:
-        raise DomainError(f"need a whole number {name} >= {least}, got {value!r}")
-    return int(x)
-
-
 def _mcmc_n(n) -> int:
-    n = _whole("n", n, 3)
-    if n > MCMC_CAPACITY:
-        raise CapacityError(f"the Metropolis sampler handles 3 <= n <= {MCMC_CAPACITY}, got {n!r}")
-    return n
+    return _capped_n(n, 3, MCMC_CAPACITY, "the Metropolis sampler")
 
 
 def mcmc_sample(n: int, theta, steps: int, seed: int,

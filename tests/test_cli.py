@@ -1,11 +1,14 @@
 """CLI contract: subcommand outputs, exit codes, determinism, and formats."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergraphon import above_line_coefficient, bernoulli_entropy
 from ergraphon.cli import main
@@ -174,6 +177,43 @@ class TestCurveCommand:
         assert code == 0
         assert out.read_text().count("\n") == 3
 
+    @pytest.mark.parametrize("cfg", [
+        {"t1": [0.6], "eps": [1e-4, 1e-3], "sied": "above"},   # misspelt key
+        {"t1": {"0.6": 1}, "eps": [1e-4, 1e-3]},               # object, not array
+        {"t1": "0.6", "eps": [1e-4]},                          # string, not array
+        {"t1": [0.6], "eps": "1e-4"},
+        {"t1": [0.6], "eps": [1e-4, "1e-3"]},                  # string entry
+        {"t1": [0.6], "eps": [True]},
+        {"t1": [10 ** 400], "eps": [1e-4]},                    # beyond float range
+    ])
+    def test_config_keys_and_types_are_strict(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_capture(capsys, "curve", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_config_trailer_hashes_the_values_not_the_path(self, tmp_path, capsys):
+        def trailer(path, cfg):
+            path.write_text(json.dumps(cfg))
+            code, out, _ = run_capture(capsys, "curve", "--config", str(path))
+            assert code == 0
+            return out.splitlines()[-1]
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = {"t1": [0.6], "eps": [1e-4], "side": "below"}
+        first = trailer(a, base)
+        assert trailer(b, base) == first
+        assert trailer(a, {**base, "eps": [1e-3]}) != first
+        assert trailer(a, {"t1": [0.6], "eps": [1e-4]}) == first  # side defaults to below
+
+    def test_trailer_without_config_keeps_its_bytes(self, capsys):
+        code, out, _ = run_capture(capsys, "curve", "--t1", "0.6", "--eps", "1e-4")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "# version=0.1.0 config=465209523dc637d5 tolerances=residual=1e-10")
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"t1": [0.6], ')
@@ -288,6 +328,15 @@ class TestExactCommand:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_below_one_exit_2(self, capsys, n):
+        code, out, err = run_capture(
+            capsys, "exact", "--n", n, "--edges", "3", "--triangles", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "whole number n >= 1" in err
+
     def test_trailer_formats_the_newton_constant(self, capsys):
         code, out, _ = run_capture(
             capsys, "exact", "--n", "4", "--edges", "3", "--triangles", "0"
@@ -311,6 +360,43 @@ class TestExactCommand:
             capsys, "exact", "--n", "4", "--edges", "3", "--triangles", "0", "--full"
         )
         assert code == 6
+
+
+def _run_quiet(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_COUNT_ARG = st.one_of(st.integers(-3, 40), st.sampled_from([10 ** 20, 10 ** 400, -10 ** 400]))
+
+
+class TestExactArguments:
+    """``exact`` maps every (n, edges, triangles) to a documented exit code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(-2, 10), st.just(10 ** 400)),
+           edges=_COUNT_ARG, triangles=_COUNT_ARG, full=st.booleans())
+    def test_documented_exit_and_repeatable_bytes(self, n, edges, triangles, full):
+        argv = ["exact", "--n", str(n), "--edges", str(edges), "--triangles", str(triangles)]
+        argv += ["--full"] if full else []
+        code, out, err = first = _run_quiet(argv)
+        assert _run_quiet(argv) == first
+        assert "Traceback" not in err
+        if n < 1:
+            assert code == 2
+        elif n > (7 if full else 8):
+            assert code == 5
+        elif full:
+            assert code in (0, 2, 6)  # 2: no graph has the pair; 6: a class on the hull
+        else:
+            assert code == 0
+        assert (code == 0) == (out != "") == (err == "")
 
 
 class TestMcmcCommand:

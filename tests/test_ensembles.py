@@ -1,6 +1,7 @@
 """Exact finite ensembles against combinatorial oracles, and the Metropolis
 sampler against closed forms and the exact enumeration."""
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -32,7 +33,16 @@ from ergraphon import (
     triangle_density,
 )
 from ergraphon import _dos_cells
-from ergraphon.ensembles import MCMC_CAPACITY, _accept_table, _dos, _flip_blocks, _flip_pairs
+from ergraphon.ensembles import (
+    COUNT_CAPACITY,
+    MCMC_CAPACITY,
+    WEIGHTED_CAPACITY,
+    _accept_table,
+    _dos,
+    _flip_blocks,
+    _flip_pairs,
+    _relative_entropy,
+)
 
 from enum_oracle import DOS_MAX_N, dos_by_vertex, dos_cells_source, enum_tables, log_weights
 
@@ -700,6 +710,95 @@ class TestCountPairIntegral:
     def test_integral_floats_accepted(self):
         assert count_constrained(5, (5.0, 1.0)) == count_constrained(5, (5, 1)) == 150
         assert relative_entropy_exact(5, (5.0, 1.0)) == relative_entropy_exact(5, (5, 1))
+
+
+class TestExactN:
+    """n reaches every exact entry point through one whole-number check."""
+
+    CALLS = {
+        "count": lambda n: count_constrained(n, (3, 0)),
+        "partition": lambda n: partition_exact(n, (0.1, 0.0)),
+        "calibrate": lambda n: calibrate_exact(n, (5, 1), units="count"),
+        "relent": lambda n: relative_entropy_exact(n, (5, 1)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("n", [5.5, 0, -3, 0.0, math.nan, math.inf, "x", None])
+    def test_not_a_whole_n_of_at_least_one_is_a_domain_error(self, call, n):
+        with pytest.raises(DomainError):
+            self.CALLS[call](n)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_integral_float_n_is_the_int(self, call):
+        assert self.CALLS[call](5.0) == self.CALLS[call](5)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_above_capacity_is_a_capacity_error(self, call):
+        cap = COUNT_CAPACITY if call == "count" else WEIGHTED_CAPACITY
+        for n in (cap + 1, float(cap + 1), 10 ** 400):
+            with pytest.raises(CapacityError):
+                self.CALLS[call](n)
+
+
+class TestRelativeEntropyMemo:
+    CELLS = [(n, e, t) for n in range(1, WEIGHTED_CAPACITY + 1)
+             for e, t in zip(_dos(n)[0].tolist(), _dos(n)[1].tolist())]
+
+    def test_every_cell_matches_the_uncached_body(self):
+        assert len(self.CELLS) == 196
+        answered = 0
+        for n, e, t in self.CELLS:
+            try:
+                want = _relative_entropy.__wrapped__(n, e, t)
+            except ConvergenceError:  # a class on the hull of N_n's cells
+                with pytest.raises(ConvergenceError):
+                    relative_entropy_exact(n, (e, t))
+                continue
+            got = relative_entropy_exact(n, (e, t))
+            assert relative_entropy_exact(n, (e, t)) is got
+            for f in dataclasses.fields(got):
+                assert getattr(got, f.name) == getattr(want, f.name), (n, e, t, f.name)
+            answered += 1
+        assert answered > 0
+        assert _relative_entropy.cache_info().currsize <= len(self.CELLS)
+
+    @pytest.mark.parametrize("n, c_star, error", [
+        (4, (3, 0), ConvergenceError),   # the star and the path: a hull vertex of N_4
+        (4, (5, 2), ConvergenceError),   # midpoint of the hull edge (4, 0)-(6, 4)
+        (5, (10, 0), DomainError),       # K_5 has ten triangles
+        (7, (-1, 0), DomainError),
+    ])
+    def test_raising_classes_are_not_stored(self, n, c_star, error):
+        size = _relative_entropy.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                relative_entropy_exact(n, c_star)
+        assert _relative_entropy.cache_info().currsize == size
+
+    def test_float_and_int_spellings_share_one_entry(self):
+        _relative_entropy.cache_clear()
+        first = relative_entropy_exact(5.0, (5.0, 1.0))
+        assert relative_entropy_exact(5, (5, 1)) is first
+        info = _relative_entropy.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_shared_answer_is_immutable(self):
+        sol = relative_entropy_exact(6, (7, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.s_n = 0.0
+        assert all(isinstance(v, tuple) for v in (sol.theta, sol.mean_t))
+
+
+class TestCountOffTable:
+    @pytest.mark.parametrize("n", range(1, COUNT_CAPACITY + 1))
+    def test_pairs_outside_the_cells_count_zero(self, n):
+        m = n * (n - 1) // 2
+        cells = set(zip(_dos(n)[0].tolist(), _dos(n)[1].tolist()))
+        off = [(-1, 0), (0, -1), (-5, -5), (m + 1, 0), (m + 1, math.comb(n, 3))]
+        off += [(e, t) for e in range(m + 1) for t in range(math.comb(n, 3) + 2)
+                if (e, t) not in cells]
+        for c_star in off:
+            assert count_constrained(n, c_star) == 0, (n, c_star)
 
 
 class TestMcmcCalibrate:
