@@ -41,6 +41,7 @@ from .errors import (
 from .ensembles import (
     _NEWTON_TOL,
     MCMC_CAPACITY,
+    MCMC_PROPOSAL_CAPACITY,
     count_constrained,
     mcmc_sample,
     relative_entropy_exact,
@@ -285,9 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"vertices, 3 <= n <= {MCMC_CAPACITY} (a larger n exits 5)")
     p.add_argument("--theta1", type=float, required=True)
     p.add_argument("--theta2", type=float, required=True)
-    p.add_argument("--steps", required=True, help="recorded proposals (1e6 style accepted)")
+    p.add_argument("--steps", required=True,
+                   help="recorded proposals (1e6 style accepted); burnin + steps <= "
+                        f"{MCMC_PROPOSAL_CAPACITY} (more exits 5)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burnin", type=int, default=None)
+    p.add_argument("--burnin", type=int, default=None,
+                   help="proposals before recording (default 10 n^2)")
     add_io(p)
     p.set_defaults(func=cmd_mcmc)
 

@@ -94,6 +94,11 @@ WEIGHTED_CAPACITY = 7
 # pairs as two tuples of shared vertex ints, 16 bytes per pair (about
 # 31 MiB at n = 2000, measured), and builds them with no larger peak.
 MCMC_CAPACITY = 2000
+# Most proposals one flip-kernel call makes: burnin + steps in mcmc_sample,
+# the 8x confirmation block in mcmc_calibrate. About seven minutes at the
+# 2.4 million proposals a second measured at n = 100 on a 2-vCPU VM, and 25
+# times the default burn-in 10 n^2 at n = MCMC_CAPACITY.
+MCMC_PROPOSAL_CAPACITY = 10 ** 9
 # max-norm residual of the canonical means at which calibrate_exact stops
 _NEWTON_TOL = 1e-10
 
@@ -285,7 +290,10 @@ def _capped_n(n, least: int, capacity: int, what: str) -> int:
 
 
 def _finite_pair(name: str, pair) -> tuple:
-    a, b = float(pair[0]), float(pair[1])
+    try:
+        a, b = float(pair[0]), float(pair[1])
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got an int beyond float range") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"{name} must be finite, got {tuple(pair)!r}")
     return a, b
@@ -649,12 +657,18 @@ def mcmc_sample(n: int, theta, steps: int, seed: int,
     uniform pair, accepted with min(1, e^dH) where dH = 2 th1 dC1 +
     (6/n) th2 dC3; the triangle increment is the popcount of one row
     intersection, and e^dH is read from a table indexed by it. Fully
-    deterministic for a fixed seed. Needs 3 <= n <= MCMC_CAPACITY (2000);
-    a larger n raises CapacityError before any pair table is built.
+    deterministic for a fixed seed. Needs 3 <= n <= MCMC_CAPACITY (2000)
+    and burnin + steps <= MCMC_PROPOSAL_CAPACITY (10^9); a larger n or
+    proposal count raises CapacityError before any pair table is built.
     """
     n = _mcmc_n(n)
     steps = _whole("steps", steps, 1)
     burnin = 10 * n * n if burnin is None else _whole("burnin", burnin, 0)
+    if burnin + steps > MCMC_PROPOSAL_CAPACITY:
+        raise CapacityError(
+            f"the Metropolis sampler runs at most {MCMC_PROPOSAL_CAPACITY} proposals "
+            "(burnin + steps) in one call"
+        )
     batches = _whole("batches", batches, 1)
     th1, th2 = _finite_pair("theta", theta)
     rng = random.Random(seed)
@@ -703,7 +717,9 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
     the tolerance). Persistent failure is reported with diagnostics;
     metastability near the broken-equivalence region shows up here and is
     reported rather than silently retried. Needs 3 <= n <= MCMC_CAPACITY
-    (2000), as ``mcmc_sample`` does.
+    (2000), as ``mcmc_sample`` does, and a confirmation block 8 * block of
+    at most MCMC_PROPOSAL_CAPACITY (10^9) proposals, so block <= 1.25e8;
+    either excess raises CapacityError before any pair table is built.
     """
     n = _mcmc_n(n)
     target1, target3 = _finite_pair("target", t_target)
@@ -714,6 +730,11 @@ def mcmc_calibrate(n: int, t_target, seed: int, tol: float = 5e-3,
     if block is None:
         block = max(10 * n * n, int(1.0 / (2.0 * tol * tol)))
     block = _whole("block", block, 1)
+    if 8 * block > MCMC_PROPOSAL_CAPACITY:
+        raise CapacityError(
+            f"the Metropolis sampler runs at most {MCMC_PROPOSAL_CAPACITY} proposals "
+            "(8 * block, the confirmation block) in one call"
+        )
     rng = random.Random(seed)
     th1 = bernoulli_entropy_deriv(min(max(target1, 1e-3), 1.0 - 1e-3), 1)
     th2 = 0.0

@@ -98,6 +98,11 @@ def _entropy_vec(u: np.ndarray) -> np.ndarray:
     if not (u.size and u.min() > 0.0 and w.min() > 0.0):
         inner = (u > 0.0) & (w > 0.0)
         u, w = np.where(inner, u, 1.0), np.where(inner, w, 1.0)
+    return _entropy_interior(u, w)
+
+
+def _entropy_interior(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Vectorized I(u) given w = 1 - u, with every entry of u in (0, 1); no test is made."""
     return 0.5 * (u * np.log(u) + w * np.log(w))
 
 

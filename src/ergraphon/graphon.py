@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
+    _entropy_interior,
     _entropy_vec,
     bernoulli_entropy_deriv,
     bregman_quotient_min,
@@ -75,26 +76,34 @@ class StepGraphon:
     summing to 1 within 1e-12, matrix shape, values in [0, 1] within 1e-12
     (a NaN value fails here), symmetry. Values within the tolerance outside
     [0, 1] are clipped onto it.
+
+    The positivity check reads the measures as Python floats. The sum
+    (numpy's, so its bits do not depend on the Python version), the
+    minimum and the maximum of the values, and the symmetry test are one
+    numpy reduction each. The minimum and maximum also set the private
+    flag ``_interior``, true when every value lies in (0, 1), so that
+    ``entropy_functional`` needs no second test for 0 log 0 terms.
     """
 
     measures: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.measures, dtype=float).reshape(-1)
+        m = np.array(self.measures, dtype=float).ravel()
         v = np.array(self.values, dtype=float)
-        # written as "not >" and "not (<= and >=)" so that NaN fails them
-        if m.size == 0 or not m.min() > 0.0:
+        # written with ">" and "not (>= and <=)" so that NaN fails them
+        if not m.size or not all(x > 0.0 for x in m.tolist()):
             raise DomainError("block measures must be positive")
-        total = m.sum()
+        total = np.add.reduce(m)
         if abs(float(total) - 1.0) > _MEASURE_TOL:
             raise DomainError(f"block measures must sum to 1, got {total!r}")
         if v.shape != (m.size, m.size):
             raise DomainError(f"value matrix shape {v.shape} does not match {m.size} blocks")
-        lo, hi = v.min(), v.max()
+        lo = float(np.minimum.reduce(v, axis=None))
+        hi = float(np.maximum.reduce(v, axis=None))
         if not (lo >= -_VALUE_TOL and hi <= 1.0 + _VALUE_TOL):
             raise DomainError("block values must lie in [0, 1]")
-        if not (v == v.T).all():
+        if not np.logical_and.reduce(v == v.T, axis=None):
             raise DomainError("value matrix must be symmetric")
         if lo < 0.0 or hi > 1.0:
             v = np.clip(v, 0.0, 1.0)
@@ -102,6 +111,7 @@ class StepGraphon:
         v.setflags(write=False)
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_interior", lo > 0.0 and hi < 1.0)
 
     @property
     def n_blocks(self) -> int:
@@ -150,9 +160,16 @@ def triangle_density(h: StepGraphon) -> float:
 
 
 def entropy_functional(h: StepGraphon) -> float:
-    """Integral of the Bernoulli entropy I over the unit square, block-exact."""
-    m = h.measures
-    return float(m @ _entropy_vec(h.values) @ m)
+    """Integral of the Bernoulli entropy I over the unit square, block-exact.
+
+    When the graphon's ``_interior`` flag is set (every value in (0, 1),
+    recorded by the constructor's range check) the entropy formula runs on
+    the values as they are; otherwise ``_entropy_vec`` maps the values at 0
+    and 1 to exact zeros. Either way the result is m . I(V) . m.
+    """
+    m, v = h.measures, h.values
+    e = _entropy_interior(v, 1.0 - v) if h._interior else _entropy_vec(v)
+    return float(m.dot(e).dot(m))
 
 
 def _admissible(t1: float, t2: float) -> bool:

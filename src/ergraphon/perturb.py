@@ -147,7 +147,7 @@ class SolveReport:
 
 
 def _two_step_graphon(lam: float, v11: float, v12: float, v22: float) -> StepGraphon:
-    return StepGraphon(np.array([lam, 1.0 - lam]), np.array([[v11, v12], [v12, v22]]))
+    return StepGraphon((lam, 1.0 - lam), ((v11, v12), (v12, v22)))
 
 
 def ansatz_graphon(t1: float, a: PerturbationAnsatz) -> StepGraphon:
@@ -286,7 +286,7 @@ def _solve_reduced(t1: float, eps: float):
     grid = np.linspace(lam_min, 0.5, 801)
     extra = np.geomspace(lam_min, 0.5, 200)
     cand = np.unique(np.concatenate([grid, extra]))
-    lam, ent, iters, _ = grid_refine_min(obj, cand, xtol=1e-13)
+    lam, ent, iters, _ = grid_refine_min(obj, cand.tolist(), xtol=1e-13)
     # the symmetric point is always stationary; prefer it on numerical ties
     ent_half = obj(0.5)
     if ent_half <= ent + 4e-16:

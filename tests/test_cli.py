@@ -445,6 +445,22 @@ class TestMcmcCommand:
         assert out == ""
         assert "n <= 2000" in err
 
+    @pytest.mark.parametrize("steps, burnin", [
+        ("100", "1000000000000"),
+        ("1e12", None),
+        ("100", "1" + "0" * 400),
+        ("1e9", "1"),
+    ])
+    def test_proposals_above_ceiling_exit_5(self, capsys, steps, burnin):
+        argv = ["mcmc", "--n", "7", "--theta1", "0", "--theta2", "0",
+                "--steps", steps, "--seed", "1"]
+        if burnin is not None:
+            argv += ["--burnin", burnin]
+        code, out, err = run_capture(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert "at most 1000000000 proposals" in err
+
     def test_negative_burnin_exit_2(self, capsys):
         code, out, _ = run_capture(
             capsys, "mcmc", "--n", "7", "--theta1", "0", "--theta2", "0",

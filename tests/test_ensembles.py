@@ -32,10 +32,11 @@ from ergraphon import (
     subgraph_counts,
     triangle_density,
 )
-from ergraphon import _dos_cells
+from ergraphon import _dos_cells, ensembles
 from ergraphon.ensembles import (
     COUNT_CAPACITY,
     MCMC_CAPACITY,
+    MCMC_PROPOSAL_CAPACITY,
     WEIGHTED_CAPACITY,
     _accept_table,
     _dos,
@@ -652,6 +653,16 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             mcmc_calibrate(7, (0.4, math.nan), seed=1)
 
+    @pytest.mark.parametrize("theta", [(10 ** 400, 0), (0.0, -10 ** 400), (10 ** 5000, 0)])
+    def test_partition_int_beyond_float_range(self, theta):
+        with pytest.raises(DomainError, match="beyond float range"):
+            partition_exact(5, theta)
+
+    @pytest.mark.parametrize("target", [(10 ** 400, 0), (3, -10 ** 400), (10 ** 5000, 0)])
+    def test_calibrate_int_beyond_float_range(self, target):
+        with pytest.raises(DomainError, match="beyond float range"):
+            calibrate_exact(5, target, units="count")
+
     @pytest.mark.parametrize("c_star", [(math.nan, 1), (10, math.inf)])
     def test_count_pair(self, c_star):
         with pytest.raises(DomainError):
@@ -692,6 +703,39 @@ class TestSamplerInputs:
     def test_calibrate_block(self):
         with pytest.raises(DomainError):
             mcmc_calibrate(7, (0.4, 0.05), seed=1, block=0)
+
+    @pytest.mark.parametrize("steps, burnin", [
+        (MCMC_PROPOSAL_CAPACITY + 1, None),
+        (1, MCMC_PROPOSAL_CAPACITY),
+        (MCMC_PROPOSAL_CAPACITY // 2 + 1, MCMC_PROPOSAL_CAPACITY // 2),
+        (100, 10 ** 12),
+        (100, 10 ** 400),
+        (1e12, 0),
+    ])
+    def test_proposal_ceiling(self, steps, burnin):
+        # raised before any pair table is built
+        built = _flip_pairs.cache_info().misses
+        with pytest.raises(CapacityError, match=f"at most {MCMC_PROPOSAL_CAPACITY} proposals"):
+            mcmc_sample(7, (0.0, 0.0), steps, seed=1, burnin=burnin)
+        assert _flip_pairs.cache_info().misses == built
+
+    @pytest.mark.parametrize("block", [MCMC_PROPOSAL_CAPACITY // 8 + 1, 10 ** 400])
+    def test_calibrate_block_ceiling(self, block):
+        built = _flip_pairs.cache_info().misses
+        with pytest.raises(CapacityError, match="8 \\* block"):
+            mcmc_calibrate(7, (0.4, 0.05), seed=1, block=block)
+        assert _flip_pairs.cache_info().misses == built
+
+    def test_proposal_ceiling_admits_its_bound(self, monkeypatch):
+        # a run of exactly the ceiling passes the check and reaches the kernel
+        def kernel(n, rows, c1, c3, th1, th2, lens, rng):
+            raise RuntimeError(f"kernel reached with {lens[:1]}")
+
+        monkeypatch.setattr(ensembles, "_flip_blocks", kernel)
+        with pytest.raises(RuntimeError, match="kernel reached"):
+            mcmc_sample(7, (0.0, 0.0), 1, seed=1, burnin=MCMC_PROPOSAL_CAPACITY - 1)
+        with pytest.raises(RuntimeError, match="kernel reached"):
+            mcmc_calibrate(7, (0.4, 0.05), seed=1, block=MCMC_PROPOSAL_CAPACITY // 8)
 
     def test_calibrate_k0(self):
         with pytest.raises(DomainError):

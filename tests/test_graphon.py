@@ -2,6 +2,7 @@
 near-line optimizers against their constraint targets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ergraphon import (
     scallop_point,
     triangle_density,
 )
+from ergraphon.entropy import _entropy_vec
 from ergraphon.optimize import loglog_slope
 
 
@@ -206,6 +208,138 @@ class TestStepGraphon:
         pair = density_pair(h)  # raises if t2 exceeds t1^(3/2) bound
         assert 0.0 <= pair.t1 <= 1.0
         assert 0.0 <= pair.t2 <= 1.0
+
+
+def reference_checks(measures, values):
+    """(measures, values) as the StepGraphon constructor first checked and stored them.
+
+    The reference for the constructor's checks: the same order, tolerances
+    and messages, written with ``m.min()``, ``m.sum()``, ``v.min()``,
+    ``v.max()`` and ``(v == v.T).all()``.
+    """
+    m = np.array(measures, dtype=float).reshape(-1)
+    v = np.array(values, dtype=float)
+    if m.size == 0 or not m.min() > 0.0:
+        raise DomainError("block measures must be positive")
+    total = m.sum()
+    if abs(float(total) - 1.0) > 1e-12:
+        raise DomainError(f"block measures must sum to 1, got {total!r}")
+    if v.shape != (m.size, m.size):
+        raise DomainError(f"value matrix shape {v.shape} does not match {m.size} blocks")
+    lo, hi = v.min(), v.max()
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+        raise DomainError("block values must lie in [0, 1]")
+    if not (v == v.T).all():
+        raise DomainError("value matrix must be symmetric")
+    if lo < 0.0 or hi > 1.0:
+        v = np.clip(v, 0.0, 1.0)
+    return m, v
+
+
+# values at and beyond the edges of what the checks accept
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.0,
+               1.0 - 2.0 ** -53, -5e-13, 1.0 + 5e-13, -1e-12, 1.0 + 1e-12,
+               -2e-12, 1.0 + 2e-12, 0.5)
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-0.1, 1.1),
+                      st.floats(allow_nan=True, allow_infinity=True))
+# [0, 1] and the values within the 1e-12 tolerance outside it, which are clipped
+unit_float = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    (0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, -5e-13, 1.0 + 5e-13, -1e-12, 1.0 + 1e-12)))
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(measures, values) of 1-4 blocks: valid, nearly valid, malformed or empty."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["partition"] * 3 + ["perturbed", "arbitrary", "empty"]))
+    if kind == "empty":
+        measures = []
+    elif kind == "arbitrary":
+        measures = draw(st.lists(any_float, min_size=k, max_size=k))
+    else:
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+        measures = (w / w.sum()).tolist()
+        if kind == "perturbed":
+            measures[draw(st.integers(0, k - 1))] = draw(any_float)
+    shape = draw(st.sampled_from(["flat", "row", "column"]))
+    if shape != "flat" and measures:
+        measures = [measures] if shape == "row" else [[x] for x in measures]
+    kv = draw(st.sampled_from([k, k, k, k, k + 1, max(k - 1, 0)]))
+    entry = draw(st.sampled_from([unit_float, unit_float, any_float]))
+    values = np.array(draw(st.lists(entry, min_size=kv * kv, max_size=kv * kv)),
+                      dtype=float).reshape(kv, kv)
+    if draw(st.booleans()):
+        values = np.triu(values) + np.triu(values, 1).T
+    return measures, values
+
+
+class TestChecksAgainstReference:
+    @given(constructor_inputs())
+    @settings(max_examples=1500, deadline=None)
+    def test_same_error_or_same_arrays(self, inputs):
+        measures, values = inputs
+        try:
+            want = reference_checks(np.array(measures), values)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                StepGraphon(np.array(measures), values)
+            assert str(got.value) == str(exc)
+            return
+        h = StepGraphon(np.array(measures), values)
+        for got, ref in zip((h.measures, h.values), want):
+            assert (got.shape, got.dtype, got.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+            assert not got.flags.writeable
+        assert h._interior == bool(((h.values > 0.0) & (h.values < 1.0)).all())
+
+    @pytest.mark.parametrize("measures, values", [
+        ([], np.zeros((0, 0))),
+        ([], []),
+        ([0.5, 0.5], np.zeros((0, 0))),
+        (1.0, [[0.3]]),
+        ([[0.25, 0.75]], [[0.1, 0.2], [0.2, 0.3]]),
+        ([0.5, 0.5], [[-0.0, 0.0], [0.0, 5e-324]]),
+        ([0.5, 0.5], [[0.1, 0.0], [-0.0, 0.3]]),
+    ])
+    def test_corner_inputs(self, measures, values):
+        try:
+            want = reference_checks(measures, values)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                StepGraphon(measures, values)
+            return
+        h = StepGraphon(measures, values)
+        assert [a.tobytes() for a in (h.measures, h.values)] == [a.tobytes() for a in want]
+
+
+@st.composite
+def entropy_graphons(draw):
+    """Graphons of 1-6 blocks whose values include 0, 1 and clipped values."""
+    k = draw(st.integers(1, 6))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        (0.0, 1.0, -0.0, 5e-324, 1.0 - 2.0 ** -53, -5e-13, 1.0 + 5e-13, 0.5)))
+    v = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+    return StepGraphon(w / w.sum(), np.triu(v) + np.triu(v, 1).T)
+
+
+class TestEntropyFunctionalBits:
+    @given(entropy_graphons())
+    @settings(max_examples=1500, deadline=None)
+    def test_same_bits_as_masked_formula(self, h):
+        m = h.measures
+        assert entropy_functional(h).hex() == float(m @ _entropy_vec(h.values) @ m).hex()
+
+    @pytest.mark.parametrize("k", [8, 50, 300])
+    def test_same_bits_on_larger_graphons(self, k):
+        rng = np.random.default_rng(k)
+        for zeros in (False, True):
+            h = random_graphon(rng, k=k)
+            if zeros:
+                v = np.where(rng.random((k, k)) < 0.2, 0.0, h.values)
+                h = StepGraphon(h.measures, np.minimum(v, v.T))
+            assert h._interior is not zeros
+            m = h.measures
+            assert entropy_functional(h).hex() == float(m @ _entropy_vec(h.values) @ m).hex()
 
 
 class TestScallop:
